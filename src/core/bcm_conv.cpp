@@ -167,23 +167,6 @@ void BcmConv2d::prune_block(std::size_t block) {
   }
 }
 
-std::size_t BcmConv2d::count_pruned_scan() const {
-  std::size_t n = 0;
-  for (auto s : skip_)
-    if (s == 0) ++n;
-  return n;
-}
-
-std::size_t BcmConv2d::pruned_count() const {
-  if (!pruned_count_valid_ || pruned_count_state_ != mask_version_) {
-    pruned_count_cache_ = count_pruned_scan();
-    pruned_count_state_ = mask_version_;
-    pruned_count_valid_ = true;
-  }
-  RPBCM_DCHECK(pruned_count_cache_ == count_pruned_scan());
-  return pruned_count_cache_;
-}
-
 void BcmConv2d::reset_pruning() {
   skip_.assign(skip_.size(), 1);
   ++mask_version_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -24,7 +25,8 @@ enum class BcmParameterization {
 };
 
 /// BCM-compressed 2-D convolution (Fig. 1b) with optional hadaBCM
-/// parameterization and BCM-wise pruning state.
+/// parameterization and BCM-wise pruning state — the repo's one BCM
+/// datapath. BcmLinear is this layer at K=1 on a 1x1 map.
 ///
 /// Forward/backward run the exact computation the accelerator performs:
 /// per-pixel channel-block FFTs, frequency-domain elementwise MACs over all
@@ -82,8 +84,9 @@ class BcmConv2d : public nn::Layer {
   /// Stage 1 (C_fft): per-pixel channel-block rFFTs of an NCHW batch into
   /// `spec`. Each (sample, pixel, in-block) spectrum depends only on that
   /// sample's data, so a sample's spectra are bitwise identical at any
-  /// batch size and any thread count.
-  void infer_rfft(const nn::Tensor& x, ActivationSpectra& spec) const;
+  /// batch size and any thread count. Virtual, like forward/backward, so
+  /// BcmLinear's [N, C] shape handling applies however it is reached.
+  virtual void infer_rfft(const nn::Tensor& x, ActivationSpectra& spec) const;
 
   /// Stages 2+3 (C_emac + C_ifft): frequency-domain accumulation over the
   /// surviving blocks plus one inverse rFFT per output pixel per out-block;
@@ -91,7 +94,7 @@ class BcmConv2d : public nn::Layer {
   /// (prepare_inference) — checked. Per-sample accumulation order is the
   /// fixed serial nest, so outputs are bitwise identical whether a sample
   /// ran solo or inside any batch.
-  nn::Tensor infer_emac_irfft(const ActivationSpectra& spec) const;
+  virtual nn::Tensor infer_emac_irfft(const ActivationSpectra& spec) const;
 
   /// Convenience: all three stages back to back — the solo reference path.
   /// Unlike forward(), does not cache the input for backward.
@@ -104,7 +107,7 @@ class BcmConv2d : public nn::Layer {
 
   /// Full dense OIHW weight tensor equivalent to the current parameters —
   /// ground truth for equivalence tests against nn::conv2d_reference.
-  tensor::Tensor dense_weights() const;
+  virtual tensor::Tensor dense_weights() const;
 
   // --- pruning interface (consumed by BcmPruner) ---
   void prune_block(std::size_t block);
@@ -112,7 +115,9 @@ class BcmConv2d : public nn::Layer {
     RPBCM_CHECK(block < skip_.size());
     return skip_[block] == 0;
   }
-  std::size_t pruned_count() const;
+  std::size_t pruned_count() const {
+    return static_cast<std::size_t>(std::count(skip_.begin(), skip_.end(), 0));
+  }
   /// Skip index: 1 = compute, 0 = skip, one entry per BCM (Section IV-B).
   const std::vector<std::uint8_t>& skip_index() const { return skip_; }
   /// Replaces the skip index wholesale (checkpoint restore).
@@ -145,8 +150,6 @@ class BcmConv2d : public nn::Layer {
   /// changed since it was built (keyed on mask_version_ alone — pure
   /// parameter updates leave the schedule untouched).
   void maybe_refresh_block_schedule();
-  /// O(blocks) rescan of skip_ — the pruned_count() cache's ground truth.
-  std::size_t count_pruned_scan() const;
   /// Shared stage bodies: forward() runs them against the member caches,
   /// the staged inference path against caller-owned buffers. Both read the
   /// cached weight spectra, which must be fresh.
@@ -192,12 +195,6 @@ class BcmConv2d : public nn::Layer {
   BlockSchedule sched_rows_;
   std::uint64_t sched_state_ = 0;
   bool sched_valid_ = false;
-
-  // pruned_count() cache, also keyed off mask_version_ (mutable: the count
-  // is observable state derived from skip_, refreshed on const reads).
-  mutable std::size_t pruned_count_cache_ = 0;
-  mutable std::uint64_t pruned_count_state_ = 0;
-  mutable bool pruned_count_valid_ = false;
 };
 
 }  // namespace rpbcm::core

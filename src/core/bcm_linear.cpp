@@ -1,383 +1,59 @@
 #include "core/bcm_linear.hpp"
 
-#include <cmath>
-
-#include "base/parallel.hpp"
-#include "base/scratch.hpp"
-#include "core/circulant.hpp"
-#include "numeric/emac.hpp"
-#include "numeric/rfft.hpp"
-#include "obs/macros.hpp"
-#include "tensor/init.hpp"
-
 namespace rpbcm::core {
 
 namespace {
 
-// Chunk grains for the block-parallel loops. Fixed constants — never a
-// function of the thread count — so chunk boundaries (and therefore every
-// floating-point accumulation order) are identical at any parallelism.
-constexpr std::size_t kSpectrumGrain = 8;   // rFFTs per task
-constexpr std::size_t kBlockGrain = 16;     // defining-vector blocks per task
+// [N, C] rows -> [N, C, 1, 1] maps.
+nn::Tensor as_map(const nn::Tensor& x, std::size_t features) {
+  RPBCM_CHECK_MSG(x.rank() == 2 && x.dim(1) == features,
+                  "BcmLinear expects [N," << features << "], got "
+                                          << x.shape_string());
+  return x.reshaped({x.dim(0), features, 1, 1});
+}
+
+// [N, C, 1, 1] maps -> [N, C] rows.
+nn::Tensor as_rows(const nn::Tensor& y) {
+  return y.reshaped({y.dim(0), y.dim(1)});
+}
 
 }  // namespace
 
 BcmLinear::BcmLinear(std::size_t in_features, std::size_t out_features,
                      std::size_t block_size, bool hadamard,
                      numeric::Rng& rng)
-    : layout_(1, in_features, out_features, block_size),
-      hadamard_(hadamard) {
-  const std::size_t blocks = layout_.total_blocks();
-  const std::size_t bs = layout_.block_size;
-  skip_.assign(blocks, 1);
-  const float std_w = std::sqrt(2.0F / static_cast<float>(in_features));
-  if (hadamard_) {
-    a_ = nn::Param("bcmfc.A", tensor::Tensor({blocks, bs}));
-    b_ = nn::Param("bcmfc.B", tensor::Tensor({blocks, bs}));
-    // Same init policy as BcmConv2d: A at plain-BCM scale, B at ones.
-    tensor::fill_gaussian(a_.value, rng, std_w);
-    b_.value.fill(1.0F);
-  } else {
-    w_ = nn::Param("bcmfc.W", tensor::Tensor({blocks, bs}));
-    tensor::fill_gaussian(w_.value, rng, std_w);
-  }
+    : BcmConv2d({.in_channels = in_features,
+                 .out_channels = out_features,
+                 .kernel = 1,
+                 .stride = 1,
+                 .pad = 0},
+                block_size,
+                hadamard ? BcmParameterization::kHadamard
+                         : BcmParameterization::kPlain,
+                rng) {
+  // Checkpoints store param names: "bcm.A" -> "bcmfc.A".
+  for (nn::Param* p : params()) p->name.replace(0, 3, "bcmfc");
 }
 
-std::vector<float> BcmLinear::effective_defining(std::size_t block) const {
-  const std::size_t bs = layout_.block_size;
-  RPBCM_CHECK(block < layout_.total_blocks());
-  std::vector<float> w(bs, 0.0F);
-  if (skip_[block] == 0) return w;
-  if (hadamard_) {
-    for (std::size_t k = 0; k < bs; ++k)
-      w[k] = a_.value.at(block, k) * b_.value.at(block, k);
-  } else {
-    for (std::size_t k = 0; k < bs; ++k) w[k] = w_.value.at(block, k);
-  }
-  return w;
-}
-
-std::vector<double> BcmLinear::block_norms() const {
-  std::vector<double> norms(layout_.total_blocks(), 0.0);
-  base::parallel_for(0, norms.size(), kBlockGrain,
-                     [&](std::size_t b, std::size_t e) {
-    for (std::size_t blk = b; blk < e; ++blk) {
-      const auto w = effective_defining(blk);
-      double s = 0.0;
-      for (float v : w) s += static_cast<double>(v) * static_cast<double>(v);
-      norms[blk] = std::sqrt(s * static_cast<double>(layout_.block_size));
-    }
-  });
-  return norms;
-}
-
-tensor::Tensor BcmLinear::dense_weights() const {
-  const std::size_t bs = layout_.block_size;
-  tensor::Tensor w({layout_.out_channels, layout_.in_channels});
-  for (std::size_t bi = 0; bi < layout_.in_blocks(); ++bi)
-    for (std::size_t bo = 0; bo < layout_.out_blocks(); ++bo) {
-      const auto def = effective_defining(layout_.block_id(0, 0, bi, bo));
-      for (std::size_t i = 0; i < bs; ++i)
-        for (std::size_t j = 0; j < bs; ++j)
-          w.at(bo * bs + i, bi * bs + j) = def[(i + bs - j) % bs];
-    }
-  return w;
-}
-
-void BcmLinear::prune_block(std::size_t block) {
-  RPBCM_CHECK(block < skip_.size());
-  skip_[block] = 0;
-  ++mask_version_;
-  const std::size_t bs = layout_.block_size;
-  if (hadamard_) {
-    for (std::size_t k = 0; k < bs; ++k) {
-      a_.value.at(block, k) = 0.0F;
-      b_.value.at(block, k) = 0.0F;
-    }
-  } else {
-    for (std::size_t k = 0; k < bs; ++k) w_.value.at(block, k) = 0.0F;
-  }
-}
-
-std::size_t BcmLinear::count_pruned_scan() const {
-  std::size_t n = 0;
-  for (auto s : skip_)
-    if (s == 0) ++n;
-  return n;
-}
-
-std::size_t BcmLinear::pruned_count() const {
-  if (!pruned_count_valid_ || pruned_count_state_ != mask_version_) {
-    pruned_count_cache_ = count_pruned_scan();
-    pruned_count_state_ = mask_version_;
-    pruned_count_valid_ = true;
-  }
-  RPBCM_DCHECK(pruned_count_cache_ == count_pruned_scan());
-  return pruned_count_cache_;
-}
-
-std::size_t BcmLinear::deployed_param_count() {
-  return (layout_.total_blocks() - pruned_count()) * layout_.block_size;
-}
-
-std::vector<nn::Param*> BcmLinear::params() {
-  if (hadamard_) return {&a_, &b_};
-  return {&w_};
-}
-
-void BcmLinear::maybe_refresh_weight_spectra() {
-  const std::uint64_t state = weight_state();
-  if (wspec_valid_ && state == wspec_state_) {
-    RPBCM_OBS_COUNT("rpbcm.core.wspec.cache_hits", 1);
-    return;
-  }
-  RPBCM_OBS_TIMED_SCOPE("core", "wspec_refresh",
-                        "rpbcm.core.wspec.refresh_seconds");
-  const std::size_t blocks = layout_.total_blocks();
-  const std::size_t bs = layout_.block_size;
-  const std::size_t hb = numeric::half_bins(bs);
-  wspec_im_off_ = numeric::aligned_floats(blocks * hb);
-  wspec_.assign(wspec_im_off_ + blocks * hb, 0.0F);
-  float* wre = wspec_.data();
-  float* wim = wspec_.data() + wspec_im_off_;
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
-  base::parallel_for(0, blocks, kSpectrumGrain,
-                     [&](std::size_t b, std::size_t e) {
-    auto& scratch =
-        base::tls_scratch<numeric::cfloat>(0, numeric::rfft_scratch_size(bs));
-    for (std::size_t blk = b; blk < e; ++blk) {
-      if (skip_[blk] == 0) continue;
-      const auto def = effective_defining(blk);
-      numeric::rfft_soa(def.data(), wre + blk * hb, wim + blk * hb, rom,
-                        scratch);
-    }
-  });
-  wspec_state_ = state;
-  wspec_valid_ = true;
-  RPBCM_OBS_COUNT("rpbcm.core.wspec.refreshes", 1);
-}
-
-void BcmLinear::maybe_refresh_block_schedule() {
-  if (sched_valid_ && sched_state_ == mask_version_) {
-    RPBCM_OBS_COUNT("rpbcm.core.sched.cache_hits", 1);
-    return;
-  }
-  sched_fwd_ = linear_forward_schedule(layout_, skip_);
-  sched_bwd_ = linear_backward_schedule(layout_, skip_);
-  sched_state_ = mask_version_;
-  sched_valid_ = true;
-  RPBCM_OBS_COUNT("rpbcm.core.sched.rebuilds", 1);
-}
-
-void BcmLinear::rfft_stage(const float* x, std::size_t n, float* re,
-                           float* im) const {
-  const std::size_t bs = layout_.block_size;
-  const std::size_t hb = numeric::half_bins(bs);
-  const std::size_t nbi = layout_.in_blocks();
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
-  // rFFT stage: every (sample, in-block) half spectrum is independent. The
-  // input rows are contiguous per block, so the packed kernel reads the
-  // activations in place.
-  base::parallel_for(0, n * nbi, kSpectrumGrain,
-                     [&](std::size_t b, std::size_t e) {
-    auto& scratch =
-        base::tls_scratch<numeric::cfloat>(0, numeric::rfft_scratch_size(bs));
-    for (std::size_t t = b; t < e; ++t) {
-      const std::size_t ni = t / nbi, bi = t % nbi;
-      numeric::rfft_soa(x + ni * layout_.in_channels + bi * bs, re + t * hb,
-                        im + t * hb, rom, scratch);
-    }
-  });
-}
-
-void BcmLinear::emac_irfft_stage(std::size_t n, const float* xr_base,
-                                 const float* xi_base, float* y) const {
-  const std::size_t bs = layout_.block_size;
-  const std::size_t hb = numeric::half_bins(bs);
-  const std::size_t nbi = layout_.in_blocks(), nbo = layout_.out_blocks();
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
-  // eMAC + IrFFT stage: every (sample, out-block) accumulator is
-  // independent; the compacted schedule iterates the surviving bi in
-  // ascending (serial) order, so results are bit-exact at any thread count
-  // and any pruning level — with no skip branch in the inner loop. Only the
-  // BS/2+1 non-redundant bins are multiplied — the eMAC PE's halved MAC
-  // count (Section IV-B).
-  const auto mul = numeric::emac::mul_acc_fn();
-  base::parallel_for(0, n * nbo, kSpectrumGrain,
-                     [&](std::size_t b, std::size_t e) {
-    auto& scratch =
-        base::tls_scratch<numeric::cfloat>(0, numeric::rfft_scratch_size(bs));
-    auto& acc_re = base::tls_scratch<float>(0, hb);
-    auto& acc_im = base::tls_scratch<float>(1, hb);
-    std::size_t bins = 0;
-    for (std::size_t t = b; t < e; ++t) {
-      const std::size_t ni = t / nbo, bo = t % nbo;
-      std::fill(acc_re.begin(), acc_re.end(), 0.0F);
-      std::fill(acc_im.begin(), acc_im.end(), 0.0F);
-      for (const auto* it = sched_fwd_.begin(bo); it != sched_fwd_.end(bo);
-           ++it) {
-        mul(acc_re.data(), acc_im.data(), wspec_re() + it->blk * hb,
-            wspec_im() + it->blk * hb, xr_base + (ni * nbi + it->pos) * hb,
-            xi_base + (ni * nbi + it->pos) * hb, hb);
-      }
-      bins += hb * sched_fwd_.group_size(bo);
-      numeric::irfft_soa(acc_re.data(), acc_im.data(),
-                         y + ni * layout_.out_channels + bo * bs, rom,
-                         scratch);
-    }
-    numeric::emac::note_bins(bins);
-  });
-}
-
-nn::Tensor BcmLinear::forward(const nn::Tensor& x, bool /*train*/) {
-  RPBCM_CHECK_MSG(x.rank() == 2 && x.dim(1) == layout_.in_channels,
-                  "BcmLinear input must be [N," << layout_.in_channels
-                                                << "]");
-  const std::size_t n = x.dim(0);
-  const std::size_t hb = numeric::half_bins(layout_.block_size);
-  const std::size_t nbi = layout_.in_blocks();
-  cached_input_ = x;
-  maybe_refresh_weight_spectra();
-  maybe_refresh_block_schedule();
-
-  xspec_im_off_ = numeric::aligned_floats(n * nbi * hb);
-  xspec_.assign(xspec_im_off_ + n * nbi * hb, 0.0F);
-  rfft_stage(x.data(), n, xspec_.data(), xspec_.data() + xspec_im_off_);
-
-  nn::Tensor y({n, layout_.out_channels});
-  emac_irfft_stage(n, xspec_.data(), xspec_.data() + xspec_im_off_, y.data());
-  return y;
-}
-
-void BcmLinear::infer_rfft(const nn::Tensor& x, ActivationSpectra& spec) const {
-  RPBCM_CHECK_MSG(x.rank() == 2 && x.dim(1) == layout_.in_channels,
-                  "BcmLinear input must be [N," << layout_.in_channels
-                                                << "]");
-  const std::size_t n = x.dim(0);
-  const std::size_t hb = numeric::half_bins(layout_.block_size);
-  const std::size_t nbi = layout_.in_blocks();
-  spec.re.assign(n * nbi * hb, 0.0F);
-  spec.im.assign(n * nbi * hb, 0.0F);
-  spec.samples = n;
-  spec.height = spec.width = 1;
-  rfft_stage(x.data(), n, spec.re.data(), spec.im.data());
-}
-
-nn::Tensor BcmLinear::infer_emac_irfft(const ActivationSpectra& spec) const {
-  RPBCM_CHECK_MSG(wspec_valid_ && wspec_state_ == weight_state(),
-                  "stale weight spectra — call prepare_inference() after "
-                  "any parameter or mask update");
-  RPBCM_CHECK_MSG(sched_valid_ && sched_state_ == mask_version_,
-                  "stale block schedule — call prepare_inference() after "
-                  "any mask update");
-  const std::size_t hb = numeric::half_bins(layout_.block_size);
-  const std::size_t nbi = layout_.in_blocks();
-  const std::size_t n = spec.samples;
-  RPBCM_CHECK_MSG(spec.re.size() == n * nbi * hb &&
-                      spec.im.size() == n * nbi * hb,
-                  "ActivationSpectra size does not match this layer");
-  nn::Tensor y({n, layout_.out_channels});
-  emac_irfft_stage(n, spec.re.data(), spec.im.data(), y.data());
-  return y;
+nn::Tensor BcmLinear::forward(const nn::Tensor& x, bool train) {
+  return as_rows(BcmConv2d::forward(as_map(x, spec().in_channels), train));
 }
 
 nn::Tensor BcmLinear::backward(const nn::Tensor& gy) {
-  RPBCM_CHECK_MSG(!cached_input_.empty(), "backward before forward");
-  const std::size_t n = cached_input_.dim(0);
-  RPBCM_CHECK(gy.rank() == 2 && gy.dim(0) == n &&
-              gy.dim(1) == layout_.out_channels);
-  const std::size_t bs = layout_.block_size;
-  const std::size_t hb = numeric::half_bins(bs);
-  const std::size_t nbi = layout_.in_blocks(), nbo = layout_.out_blocks();
+  return as_rows(BcmConv2d::backward(as_map(gy, spec().out_channels)));
+}
 
-  maybe_refresh_block_schedule();
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
+void BcmLinear::infer_rfft(const nn::Tensor& x,
+                           ActivationSpectra& spec) const {
+  BcmConv2d::infer_rfft(as_map(x, this->spec().in_channels), spec);
+}
 
-  numeric::AlignedVec<float> gspec_re(n * nbo * hb), gspec_im(n * nbo * hb,
-                                                             0.0F);
-  const float* gyd = gy.data();
-  base::parallel_for(0, n * nbo, kSpectrumGrain,
-                     [&](std::size_t b, std::size_t e) {
-    auto& scratch =
-        base::tls_scratch<numeric::cfloat>(0, numeric::rfft_scratch_size(bs));
-    for (std::size_t t = b; t < e; ++t) {
-      const std::size_t ni = t / nbo, bo = t % nbo;
-      numeric::rfft_soa(gyd + ni * layout_.out_channels + bo * bs,
-                        gspec_re.data() + t * hb, gspec_im.data() + t * hb,
-                        rom, scratch);
-    }
-  });
+nn::Tensor BcmLinear::infer_emac_irfft(const ActivationSpectra& spec) const {
+  return as_rows(BcmConv2d::infer_emac_irfft(spec));
+}
 
-  numeric::AlignedVec<float> gx_re(n * nbi * hb, 0.0F),
-      gx_im(n * nbi * hb, 0.0F);
-  const std::size_t blocks = layout_.total_blocks();
-  numeric::AlignedVec<float> gw_re(blocks * hb, 0.0F),
-      gw_im(blocks * hb, 0.0F);
-
-  // Accumulation stage, partitioned by input block: every gx slice belongs
-  // to one (sample, bi) and every weight block belongs to one bi, so the bi
-  // partition is race-free. The backward schedule iterates surviving bo in
-  // ascending order inside each bi — the per-accumulator addition order
-  // (samples ascending, then bo ascending) of the serial nest, branch-free.
-  // Both conj(W)*G and conj(X)*G are products of real-signal spectra, hence
-  // Hermitian — the BS/2+1 bins carry the full gradient.
-  const auto grad = numeric::emac::grad_acc_fn();
-  base::parallel_for(0, nbi, 1, [&](std::size_t bb, std::size_t be) {
-    std::size_t bins = 0;
-    for (std::size_t bi = bb; bi < be; ++bi) {
-      for (std::size_t ni = 0; ni < n; ++ni) {
-        const float* xr = xspec_.data() + (ni * nbi + bi) * hb;
-        const float* xi = xspec_.data() + xspec_im_off_ + (ni * nbi + bi) * hb;
-        float* gxr = gx_re.data() + (ni * nbi + bi) * hb;
-        float* gxi = gx_im.data() + (ni * nbi + bi) * hb;
-        for (const auto* it = sched_bwd_.begin(bi); it != sched_bwd_.end(bi);
-             ++it) {
-          grad(gxr, gxi, gw_re.data() + it->blk * hb,
-               gw_im.data() + it->blk * hb, wspec_re() + it->blk * hb,
-               wspec_im() + it->blk * hb, xr, xi,
-               gspec_re.data() + (ni * nbo + it->pos) * hb,
-               gspec_im.data() + (ni * nbo + it->pos) * hb, hb);
-        }
-        bins += hb * sched_bwd_.group_size(bi);
-      }
-    }
-    numeric::emac::note_bins(bins);
-  });
-
-  nn::Tensor gx({n, layout_.in_channels});
-  float* gxd = gx.data();
-  base::parallel_for(0, n * nbi, kSpectrumGrain,
-                     [&](std::size_t b, std::size_t e) {
-    auto& scratch =
-        base::tls_scratch<numeric::cfloat>(0, numeric::rfft_scratch_size(bs));
-    for (std::size_t t = b; t < e; ++t) {
-      const std::size_t ni = t / nbi, bi = t % nbi;
-      numeric::irfft_soa(gx_re.data() + t * hb, gx_im.data() + t * hb,
-                         gxd + ni * layout_.in_channels + bi * bs, rom,
-                         scratch);
-    }
-  });
-
-  base::parallel_for(0, blocks, kSpectrumGrain,
-                     [&](std::size_t b, std::size_t e) {
-    auto& scratch =
-        base::tls_scratch<numeric::cfloat>(0, numeric::rfft_scratch_size(bs));
-    auto& gw = base::tls_scratch<float>(0, bs);
-    for (std::size_t blk = b; blk < e; ++blk) {
-      if (skip_[blk] == 0) continue;
-      numeric::irfft_soa(gw_re.data() + blk * hb, gw_im.data() + blk * hb,
-                         gw.data(), rom, scratch);
-      if (hadamard_) {
-        for (std::size_t k = 0; k < bs; ++k) {
-          a_.grad.at(blk, k) += gw[k] * b_.value.at(blk, k);
-          b_.grad.at(blk, k) += gw[k] * a_.value.at(blk, k);
-        }
-      } else {
-        for (std::size_t k = 0; k < bs; ++k) w_.grad.at(blk, k) += gw[k];
-      }
-    }
-  });
-  return gx;
+tensor::Tensor BcmLinear::dense_weights() const {
+  return as_rows(BcmConv2d::dense_weights());
 }
 
 }  // namespace rpbcm::core

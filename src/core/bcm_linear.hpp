@@ -1,155 +1,30 @@
 #pragma once
 
-#include <cstdint>
-#include <memory>
-
-#include "core/activation_spectra.hpp"
-#include "core/bcm_layout.hpp"
-#include "core/block_schedule.hpp"
-#include "nn/layer.hpp"
-#include "numeric/aligned.hpp"
-#include "numeric/random.hpp"
+#include "core/bcm_conv.hpp"
 
 namespace rpbcm::core {
 
 /// BCM-compressed fully connected layer: the weight matrix [out, in] is a
-/// grid of (out/BS) x (in/BS) circulant blocks. Equivalent to a BcmConv2d
-/// with K=1 on a 1x1 feature map, but specialized for [N, features]
-/// activations (classifier heads).
-class BcmLinear : public nn::Layer {
+/// grid of (out/BS) x (in/BS) circulant blocks. That is exactly a BcmConv2d
+/// with K=1, stride 1, pad 0 on a 1x1 feature map (CirCNN's one
+/// block-circulant matvec for FC and conv), so this class only converts
+/// between [N, features] activations and [N, C, 1, 1] maps. The params,
+/// pruning mask, weight-spectrum and schedule caches and every loop nest
+/// are BcmConv2d's.
+class BcmLinear : public BcmConv2d {
  public:
   BcmLinear(std::size_t in_features, std::size_t out_features,
             std::size_t block_size, bool hadamard, numeric::Rng& rng);
 
+  std::string name() const override { return "BcmLinear"; }
+  bool hadamard() const { return mode() == BcmParameterization::kHadamard; }
+
+  // The BcmConv2d entry points on [N, in] inputs and [N, out] outputs.
   nn::Tensor forward(const nn::Tensor& x, bool train) override;
   nn::Tensor backward(const nn::Tensor& gy) override;
-  std::vector<nn::Param*> params() override;
-  std::size_t deployed_param_count() override;
-  std::string name() const override { return "BcmLinear"; }
-
-  const BcmLayout& layout() const { return layout_; }
-  bool hadamard() const { return hadamard_; }
-
-  std::vector<float> effective_defining(std::size_t block) const;
-  std::vector<double> block_norms() const;
-  tensor::Tensor dense_weights() const;  // [out, in]
-
-  // --- staged batched inference (the serve::Engine entry points) ---
-
-  /// Refreshes the cached weight half-spectra and the compacted surviving-
-  /// block schedules if parameters or the pruning mask changed. Must be
-  /// called before the const staged entry points below; the staged calls
-  /// never mutate the layer, so once prepared any number of threads may run
-  /// them concurrently (the engine's pipelined stages rely on this).
-  void prepare_inference() {
-    maybe_refresh_weight_spectra();
-    maybe_refresh_block_schedule();
-  }
-
-  /// Stage 1 (C_fft): batched rFFT of [N, in] activations into `spec`.
-  /// Each (sample, in-block) spectrum depends only on that sample's data,
-  /// so a sample's spectra are bitwise identical at any batch size and any
-  /// thread count.
-  void infer_rfft(const nn::Tensor& x, ActivationSpectra& spec) const;
-
-  /// Stages 2+3 (C_emac + C_ifft): half-spectrum eMAC against the cached
-  /// weight spectra, then batched inverse rFFT; returns [N, out]. Requires
-  /// fresh weight spectra (prepare_inference) — checked. Per-sample
-  /// accumulation order is the fixed serial nest, so outputs are bitwise
-  /// identical whether a sample ran solo or inside any batch.
-  nn::Tensor infer_emac_irfft(const ActivationSpectra& spec) const;
-
-  /// Convenience: all three stages back to back — the solo reference path
-  /// the serving determinism contract is stated against. Unlike forward(),
-  /// does not cache the input for backward.
-  nn::Tensor infer(const nn::Tensor& x) {
-    prepare_inference();
-    ActivationSpectra spec;
-    infer_rfft(x, spec);
-    return infer_emac_irfft(spec);
-  }
-
-  void prune_block(std::size_t block);
-  bool is_pruned(std::size_t block) const {
-    RPBCM_CHECK(block < skip_.size());
-    return skip_[block] == 0;
-  }
-  std::size_t pruned_count() const;
-  const std::vector<std::uint8_t>& skip_index() const { return skip_; }
-  /// Replaces the skip index wholesale (checkpoint restore).
-  void set_skip_index(std::vector<std::uint8_t> skip) {
-    RPBCM_CHECK_MSG(skip.size() == skip_.size(), "skip index size mismatch");
-    skip_ = std::move(skip);
-    ++mask_version_;
-  }
-
-  /// Full parameter+mask snapshot for Algorithm-1 rollback.
-  struct Snapshot {
-    tensor::Tensor a, b, w;
-    std::vector<std::uint8_t> skip;
-  };
-  Snapshot snapshot() const { return {a_.value, b_.value, w_.value, skip_}; }
-  void restore(const Snapshot& s) {
-    a_.value = s.a;
-    b_.value = s.b;
-    w_.value = s.w;
-    skip_ = s.skip;
-    ++mask_version_;
-  }
-
- private:
-  /// Re-FFTs the weight half-spectra iff the parameters or the skip index
-  /// changed since the cached spectra were built (see weight_state()).
-  void maybe_refresh_weight_spectra();
-  /// Rebuilds the compacted surviving-block schedules iff the pruning mask
-  /// changed since they were built (keyed on mask_version_ alone — pure
-  /// parameter updates leave the schedules untouched).
-  void maybe_refresh_block_schedule();
-  /// O(blocks) rescan of skip_ — the pruned_count() cache's ground truth.
-  std::size_t count_pruned_scan() const;
-  /// Shared stage bodies: forward() runs them against the member caches,
-  /// the staged inference path against caller-owned buffers. Both read the
-  /// cached weight spectra, which must be fresh.
-  void rfft_stage(const float* x, std::size_t n, float* re, float* im) const;
-  void emac_irfft_stage(std::size_t n, const float* xr, const float* xi,
-                        float* y) const;
-  /// Monotone fingerprint of everything the weight spectra depend on.
-  std::uint64_t weight_state() const {
-    return a_.version + b_.version + w_.version + mask_version_;
-  }
-
-  BcmLayout layout_;  // kernel=1
-  bool hadamard_ = true;
-  nn::Param a_, b_, w_;
-  std::vector<std::uint8_t> skip_;
-  std::uint64_t mask_version_ = 0;  // bumped by prune/restore/skip writes
-
-  tensor::Tensor cached_input_;
-  // Cached half spectra: blocks x (BS/2+1) non-redundant bins, split-complex
-  // SoA. Each cache is ONE 32-byte-aligned allocation holding the re plane
-  // followed by the im plane at an 8-float-aligned offset, so every bin row
-  // the eMAC kernels touch is unit-stride.
-  numeric::AlignedVec<float> wspec_;
-  std::size_t wspec_im_off_ = 0;
-  numeric::AlignedVec<float> xspec_;
-  std::size_t xspec_im_off_ = 0;
-  std::uint64_t wspec_state_ = 0;
-  bool wspec_valid_ = false;
-
-  const float* wspec_re() const { return wspec_.data(); }
-  const float* wspec_im() const { return wspec_.data() + wspec_im_off_; }
-
-  // Compacted surviving-block schedules (see block_schedule.hpp), rebuilt
-  // lazily off mask_version_.
-  BlockSchedule sched_fwd_, sched_bwd_;
-  std::uint64_t sched_state_ = 0;
-  bool sched_valid_ = false;
-
-  // pruned_count() cache, also keyed off mask_version_ (mutable: the count
-  // is observable state derived from skip_, refreshed on const reads).
-  mutable std::size_t pruned_count_cache_ = 0;
-  mutable std::uint64_t pruned_count_state_ = 0;
-  mutable bool pruned_count_valid_ = false;
+  void infer_rfft(const nn::Tensor& x, ActivationSpectra& spec) const override;
+  nn::Tensor infer_emac_irfft(const ActivationSpectra& spec) const override;
+  tensor::Tensor dense_weights() const override;  // [out, in]
 };
 
 }  // namespace rpbcm::core

@@ -13,42 +13,6 @@ std::uint32_t narrow32(std::size_t v) {
 
 }  // namespace
 
-BlockSchedule linear_forward_schedule(const BcmLayout& layout,
-                                      const std::vector<std::uint8_t>& skip) {
-  RPBCM_CHECK(layout.kernel == 1 && skip.size() == layout.total_blocks());
-  const std::size_t nbi = layout.in_blocks(), nbo = layout.out_blocks();
-  BlockSchedule s;
-  s.offsets.reserve(nbo + 1);
-  s.offsets.push_back(0);
-  for (std::size_t bo = 0; bo < nbo; ++bo) {
-    for (std::size_t bi = 0; bi < nbi; ++bi) {
-      const std::size_t blk = layout.block_id(0, 0, bi, bo);
-      if (skip[blk] != 0)
-        s.entries.push_back({narrow32(bi), narrow32(blk)});
-    }
-    s.offsets.push_back(narrow32(s.entries.size()));
-  }
-  return s;
-}
-
-BlockSchedule linear_backward_schedule(const BcmLayout& layout,
-                                       const std::vector<std::uint8_t>& skip) {
-  RPBCM_CHECK(layout.kernel == 1 && skip.size() == layout.total_blocks());
-  const std::size_t nbi = layout.in_blocks(), nbo = layout.out_blocks();
-  BlockSchedule s;
-  s.offsets.reserve(nbi + 1);
-  s.offsets.push_back(0);
-  for (std::size_t bi = 0; bi < nbi; ++bi) {
-    for (std::size_t bo = 0; bo < nbo; ++bo) {
-      const std::size_t blk = layout.block_id(0, 0, bi, bo);
-      if (skip[blk] != 0)
-        s.entries.push_back({narrow32(bo), narrow32(blk)});
-    }
-    s.offsets.push_back(narrow32(s.entries.size()));
-  }
-  return s;
-}
-
 BlockSchedule conv_row_schedule(const BcmLayout& layout,
                                 const std::vector<std::uint8_t>& skip) {
   RPBCM_CHECK(skip.size() == layout.total_blocks());

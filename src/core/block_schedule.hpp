@@ -16,13 +16,13 @@ namespace rpbcm::core {
 /// (bitwise — the golden vectors do not move when blocks are pruned in a
 /// different order).
 ///
-/// Layers rebuild their schedules lazily off mask_version_, alongside the
-/// weight-spectrum cache (rpbcm.core.sched.{rebuilds,cache_hits}).
+/// conv_row_schedule is the one builder: BcmConv2d (and so BcmLinear, its
+/// K=1 case) rebuilds it lazily off mask_version_, alongside the
+/// weight-spectrum cache (rpbcm.core.sched.{rebuilds,cache_hits}), and the
+/// Q7.8 functional model (hw::bcm_conv_fixed_point) walks the same one.
 struct BlockSchedule {
-  /// One surviving block. `pos` is the group-local coordinate the loop
-  /// needs (bi for the linear forward schedule, bo for the linear backward
-  /// and conv schedules); `blk` is the flat block id into the weight
-  /// planes.
+  /// One surviving block. `pos` is its out-block bo; `blk` is the flat
+  /// block id into the weight planes.
   struct Entry {
     std::uint32_t pos = 0;
     std::uint32_t blk = 0;
@@ -46,16 +46,6 @@ struct BlockSchedule {
     return entries.data() + offsets[g + 1];
   }
 };
-
-/// Linear forward schedule: group = out-block bo, entries (pos=bi, blk)
-/// ascending in bi — the accumulation order of the forward eMAC.
-BlockSchedule linear_forward_schedule(const BcmLayout& layout,
-                                      const std::vector<std::uint8_t>& skip);
-
-/// Linear backward schedule: group = in-block bi, entries (pos=bo, blk)
-/// ascending in bo — the bi-partitioned gradient nest.
-BlockSchedule linear_backward_schedule(const BcmLayout& layout,
-                                       const std::vector<std::uint8_t>& skip);
 
 /// Conv schedule: group = (kh*K+kw)*in_blocks+bi (one "row" of the weight
 /// plane), entries (pos=bo, blk) ascending in bo. The forward and backward

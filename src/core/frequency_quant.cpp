@@ -66,11 +66,15 @@ std::vector<FrequencyQuantStats> quantize_model_frequency_weights(
     auto fw = export_frequency_weights(*conv);
     stats.push_back(quantize_frequency_weights(fw, bits));
     // Write the dequantized weights back: inverse-FFT each quantized half
-    // spectrum to a defining vector.
+    // spectrum row to a defining vector.
     const std::size_t bs = conv->layout().block_size;
+    const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
+    std::vector<numeric::cfloat> scratch(numeric::rfft_scratch_size(bs));
+    std::vector<float> w(bs);
     for (std::size_t b = 0; b < fw.layout.total_blocks(); ++b) {
       if (!fw.skip_index[b]) continue;
-      const auto w = numeric::irfft(fw.block_spectrum(b), bs);
+      numeric::irfft_soa(fw.block_re(b), fw.block_im(b), w.data(), rom,
+                         scratch);
       conv->load_defining(b, w);
     }
   }

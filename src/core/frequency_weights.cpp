@@ -1,33 +1,8 @@
 #include "core/frequency_weights.hpp"
 
-#include "base/check.hpp"
+#include "numeric/rfft.hpp"
 
 namespace rpbcm::core {
-
-std::vector<cfloat> FrequencyLayerWeights::block_spectrum(
-    std::size_t block) const {
-  RPBCM_CHECK(block < skip_index.size());
-  if (!skip_index[block]) return {};
-  const std::size_t hb = half_bins();
-  std::vector<cfloat> out(hb);
-  const float* re = block_re(block);
-  const float* im = block_im(block);
-  for (std::size_t k = 0; k < hb; ++k) out[k] = cfloat(re[k], im[k]);
-  return out;
-}
-
-void FrequencyLayerWeights::set_block_spectrum(std::size_t block,
-                                               std::span<const cfloat> spec) {
-  RPBCM_CHECK(block < skip_index.size());
-  const std::size_t hb = half_bins();
-  RPBCM_CHECK_MSG(spec.size() == hb, "half-spectrum size mismatch");
-  float* re = block_re(block);
-  float* im = block_im(block);
-  for (std::size_t k = 0; k < hb; ++k) {
-    re[k] = spec[k].real();
-    im[k] = spec[k].imag();
-  }
-}
 
 std::size_t FrequencyLayerWeights::surviving_blocks() const {
   std::size_t n = 0;
@@ -53,14 +28,15 @@ FrequencyLayerWeights export_frequency_weights(const BcmConv2d& layer) {
   out.layout = layer.layout();
   out.skip_index = layer.skip_index();
   const std::size_t blocks = out.layout.total_blocks();
-  const std::size_t hb = out.half_bins();
-  out.spec_re.assign(blocks * hb, 0.0F);
-  out.spec_im.assign(blocks * hb, 0.0F);
+  const std::size_t bs = out.layout.block_size;
+  out.spec_re.assign(blocks * out.half_bins(), 0.0F);
+  out.spec_im.assign(blocks * out.half_bins(), 0.0F);
+  const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
+  std::vector<numeric::cfloat> scratch(numeric::rfft_scratch_size(bs));
   for (std::size_t b = 0; b < blocks; ++b) {
     if (layer.is_pruned(b)) continue;
-    const auto spec = Circulant::from_first_column(layer.effective_defining(b))
-                          .half_spectrum();
-    out.set_block_spectrum(b, spec);
+    numeric::rfft_soa(layer.effective_defining(b).data(), out.block_re(b),
+                      out.block_im(b), rom, scratch);
   }
   return out;
 }

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/bcm_conv.hpp"
-#include "core/circulant.hpp"
 #include "numeric/aligned.hpp"
 
 namespace rpbcm::core {
@@ -44,15 +43,6 @@ struct FrequencyLayerWeights {
     return spec_im.data() + block * half_bins();
   }
 
-  /// AoS copy of one block's half spectrum — convenience for consumers that
-  /// want std::complex (quantization write-back, tests). Empty for pruned
-  /// blocks, mirroring the accelerator's weight buffer which stores nothing
-  /// for skipped BCMs.
-  std::vector<cfloat> block_spectrum(std::size_t block) const;
-
-  /// Overwrites one block's row in the planes from an AoS spectrum.
-  void set_block_spectrum(std::size_t block, std::span<const cfloat> spec);
-
   std::size_t surviving_blocks() const;
 
   /// Complex words stored (surviving blocks x (BS/2+1)).
@@ -66,7 +56,9 @@ struct FrequencyLayerWeights {
   std::size_t skip_index_bytes() const;
 };
 
-/// Pre-processes a trained BcmConv2d for deployment.
+/// Pre-processes a trained BcmConv2d (or BcmLinear) for deployment: one
+/// rfft_soa of each surviving effective defining vector straight into its
+/// rows — the same transform the layer's own weight-spectrum cache runs.
 FrequencyLayerWeights export_frequency_weights(const BcmConv2d& layer);
 
 }  // namespace rpbcm::core

@@ -14,7 +14,6 @@ BcmLayerSet BcmLayerSet::collect(nn::Sequential& model) {
   BcmLayerSet set;
   model.visit([&set](nn::Layer& l) {
     if (auto* c = dynamic_cast<BcmConv2d*>(&l)) set.convs_.push_back(c);
-    if (auto* f = dynamic_cast<BcmLinear*>(&l)) set.linears_.push_back(f);
   });
   return set;
 }
@@ -22,14 +21,12 @@ BcmLayerSet BcmLayerSet::collect(nn::Sequential& model) {
 std::size_t BcmLayerSet::total_blocks() const {
   std::size_t n = 0;
   for (auto* c : convs_) n += c->layout().total_blocks();
-  for (auto* f : linears_) n += f->layout().total_blocks();
   return n;
 }
 
 std::size_t BcmLayerSet::pruned_blocks() const {
   std::size_t n = 0;
   for (auto* c : convs_) n += c->pruned_count();
-  for (auto* f : linears_) n += f->pruned_count();
   return n;
 }
 
@@ -38,10 +35,6 @@ std::vector<double> BcmLayerSet::norm_list() const {
   norms.reserve(total_blocks());
   for (auto* c : convs_) {
     auto v = c->block_norms();
-    norms.insert(norms.end(), v.begin(), v.end());
-  }
-  for (auto* f : linears_) {
-    auto v = f->block_norms();
     norms.insert(norms.end(), v.begin(), v.end());
   }
   return norms;
@@ -53,7 +46,7 @@ std::vector<double> BcmLayerSet::importance_list(
   std::vector<double> scores;
   scores.reserve(total_blocks());
   numeric::Rng rng(seed);
-  auto score_layer = [&](auto* layer) {
+  for (const BcmConv2d* layer : convs_) {
     for (std::size_t b = 0; b < layer->layout().total_blocks(); ++b) {
       if (criterion == ImportanceCriterion::kRandom) {
         scores.push_back(layer->is_pruned(b)
@@ -67,9 +60,7 @@ std::vector<double> BcmLayerSet::importance_list(
       // ℓ1 of the full block = BS * ℓ1 of the defining vector.
       scores.push_back(s * static_cast<double>(layer->layout().block_size));
     }
-  };
-  for (auto* c : convs_) score_layer(c);
-  for (auto* f : linears_) score_layer(f);
+  }
   return scores;
 }
 
@@ -83,43 +74,31 @@ std::size_t BcmLayerSet::prune_below(const std::vector<double>& norms,
     for (std::size_t b = 0; b < nb; ++b, ++idx)
       if (norms[idx] <= threshold && !c->is_pruned(b)) c->prune_block(b);
   }
-  for (auto* f : linears_) {
-    const std::size_t nb = f->layout().total_blocks();
-    for (std::size_t b = 0; b < nb; ++b, ++idx)
-      if (norms[idx] <= threshold && !f->is_pruned(b)) f->prune_block(b);
-  }
   return pruned_blocks();
 }
 
 std::size_t BcmLayerSet::surviving_params() const {
   std::size_t n = 0;
   for (auto* c : convs_) n += c->deployed_param_count();
-  for (auto* f : linears_) n += f->deployed_param_count();
   return n;
 }
 
 std::size_t BcmLayerSet::dense_params() const {
   std::size_t n = 0;
   for (auto* c : convs_) n += c->layout().dense_params();
-  for (auto* f : linears_) n += f->layout().dense_params();
   return n;
 }
 
 BcmLayerSet::Snapshot BcmLayerSet::snapshot() const {
   Snapshot s;
-  s.convs.reserve(convs_.size());
-  s.linears.reserve(linears_.size());
-  for (auto* c : convs_) s.convs.push_back(c->snapshot());
-  for (auto* f : linears_) s.linears.push_back(f->snapshot());
+  s.reserve(convs_.size());
+  for (auto* c : convs_) s.push_back(c->snapshot());
   return s;
 }
 
 void BcmLayerSet::restore(const Snapshot& s) {
-  RPBCM_CHECK(s.convs.size() == convs_.size() &&
-              s.linears.size() == linears_.size());
-  for (std::size_t i = 0; i < convs_.size(); ++i) convs_[i]->restore(s.convs[i]);
-  for (std::size_t i = 0; i < linears_.size(); ++i)
-    linears_[i]->restore(s.linears[i]);
+  RPBCM_CHECK(s.size() == convs_.size());
+  for (std::size_t i = 0; i < convs_.size(); ++i) convs_[i]->restore(s[i]);
 }
 
 namespace {

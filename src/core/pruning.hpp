@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "core/bcm_conv.hpp"
-#include "core/bcm_linear.hpp"
 #include "nn/sequential.hpp"
 #include "nn/trainer.hpp"
 
@@ -53,7 +52,8 @@ enum class ImportanceCriterion {
 /// Algorithm 1's single norm_list does.
 class BcmLayerSet {
  public:
-  /// Collects all BcmConv2d / BcmLinear layers nested inside `model`.
+  /// Collects all BCM layers nested inside `model` in visitation order —
+  /// BcmConv2d and its K=1 case BcmLinear alike.
   static BcmLayerSet collect(nn::Sequential& model);
 
   std::size_t total_blocks() const;
@@ -75,20 +75,17 @@ class BcmLayerSet {
   std::size_t surviving_params() const;
   std::size_t dense_params() const;
 
+  /// Every collected layer, in visitation order (BcmLinear heads too).
   const std::vector<BcmConv2d*>& convs() const { return convs_; }
-  const std::vector<BcmLinear*>& linears() const { return linears_; }
 
-  /// Snapshot/restore of all layers (Algorithm-1 rollback).
-  struct Snapshot {
-    std::vector<BcmConv2d::Snapshot> convs;
-    std::vector<BcmLinear::Snapshot> linears;
-  };
+  /// Snapshot/restore of all layers (Algorithm-1 rollback), one entry per
+  /// layer of convs().
+  using Snapshot = std::vector<BcmConv2d::Snapshot>;
   Snapshot snapshot() const;
   void restore(const Snapshot& s);
 
  private:
   std::vector<BcmConv2d*> convs_;
-  std::vector<BcmLinear*> linears_;
 };
 
 /// Algorithm 1: iteratively raise the global pruning ratio α, prune the

@@ -12,7 +12,6 @@
 #endif
 
 #include "base/fault.hpp"
-#include "core/bcm_linear.hpp"
 #include "core/pruning.hpp"
 #include "nn/batchnorm.hpp"
 
@@ -166,14 +165,12 @@ std::vector<tensor::Tensor*> collect_buffers(nn::Sequential& model) {
   return bufs;
 }
 
-// All skip masks of a model, in visitation order.
+// All skip masks of a model (BcmLinear heads included), in visitation order.
 std::vector<std::vector<std::uint8_t>> collect_masks(nn::Sequential& model) {
   std::vector<std::vector<std::uint8_t>> masks;
   model.visit([&masks](nn::Layer& l) {
     if (auto* c = dynamic_cast<BcmConv2d*>(&l))
       masks.push_back(c->skip_index());
-    if (auto* f = dynamic_cast<BcmLinear*>(&l))
-      masks.push_back(f->skip_index());
   });
   return masks;
 }
@@ -185,10 +182,6 @@ void restore_masks(nn::Sequential& model,
     if (auto* c = dynamic_cast<BcmConv2d*>(&l)) {
       RPBCM_CHECK_MSG(i < masks.size(), "checkpoint has too few skip masks");
       c->set_skip_index(std::move(masks[i++]));
-    }
-    if (auto* f = dynamic_cast<BcmLinear*>(&l)) {
-      RPBCM_CHECK_MSG(i < masks.size(), "checkpoint has too few skip masks");
-      f->set_skip_index(std::move(masks[i++]));
     }
   });
   RPBCM_CHECK_MSG(i == masks.size(), "checkpoint has too many skip masks");

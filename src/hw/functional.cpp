@@ -1,6 +1,7 @@
 #include "hw/functional.hpp"
 
 #include "base/parallel.hpp"
+#include "core/block_schedule.hpp"
 #include "hw/emac_pe.hpp"
 #include "hw/fft_pe.hpp"
 #include "obs/macros.hpp"
@@ -98,6 +99,10 @@ tensor::Tensor bcm_conv_fixed_point(const tensor::Tensor& x,
           xs[((ni * h + ih) * w + iw) * nbi + bi] = EmacPe::take_half(full);
         }
 
+  // eMAC stage over the surviving blocks of each (kh, kw, bi) row, in the
+  // float layers' schedule order: the skip-index check happens once, in
+  // conv_row_schedule.
+  const core::BlockSchedule sched = core::conv_row_schedule(lay, fw.skip_index);
   tensor::Tensor y({n, spec.out_channels, ho, wo});
   float* yd = y.data();
   std::vector<std::vector<CFix16>> acc(nbo);
@@ -119,11 +124,10 @@ tensor::Tensor bcm_conv_fixed_point(const tensor::Tensor& x,
                       static_cast<std::size_t>(iw)) *
                          nbi +
                      bi];
-              for (std::size_t bo = 0; bo < nbo; ++bo) {
-                const std::size_t blk = lay.block_id(kh, kw, bi, bo);
-                if (!fw.skip_index[blk]) continue;  // skip-index check
-                EmacPe::emac_half(wq[blk], xh, acc[bo]);
-              }
+              const std::size_t row = (kh * spec.kernel + kw) * nbi + bi;
+              for (const auto* it = sched.begin(row); it != sched.end(row);
+                   ++it)
+                EmacPe::emac_half(wq[it->blk], xh, acc[it->pos]);
             }
           }
         }

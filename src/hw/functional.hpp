@@ -30,9 +30,10 @@ struct SeuOptions {
 /// Bit-faithful functional model of the accelerator datapath for one
 /// BCM-compressed convolution layer: quantizes activations to Q7.8,
 /// runs the fixed-point FFT PE per input pixel/block, the eMAC PEs over
-/// the conjugate-symmetric half spectrum of the deployed weights (skipping
-/// pruned blocks via the skip index), and the IFFT (FFT reuse + shift
-/// divider). Returns float activations dequantized from the 16-bit result.
+/// the conjugate-symmetric half spectrum of the deployed weights (visiting
+/// only surviving blocks, in core::conv_row_schedule order — the float
+/// layers' schedule), and the IFFT (FFT reuse + shift divider). Returns
+/// float activations dequantized from the 16-bit result.
 ///
 /// This is the golden model the timing simulator's datapath corresponds
 /// to; tests compare it against the float BcmConv2d reference.

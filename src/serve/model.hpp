@@ -51,7 +51,8 @@ class BcmConv2d;
 namespace rpbcm::serve {
 
 /// Serves a BcmLinear classifier head ([in] samples -> [out] samples).
-/// Non-owning: the layer must outlive the returned model.
+/// Non-owning: the layer must outlive the returned model. Both overloads
+/// return the same adapter over the one BcmConv2d datapath.
 std::unique_ptr<StagedModel> make_staged(core::BcmLinear& layer);
 
 /// Serves a BcmConv2d at a fixed input resolution ([Cin, H, W] samples ->

@@ -53,7 +53,13 @@ INSTANTIATE_TEST_SUITE_P(
         Case{16, 8, 3, 1, 1, 8, BcmParameterization::kPlain},
         Case{8, 16, 1, 1, 0, 8, BcmParameterization::kHadamard},
         Case{16, 16, 3, 2, 1, 16, BcmParameterization::kPlain},
-        Case{32, 16, 3, 1, 1, 16, BcmParameterization::kHadamard}));
+        Case{32, 16, 3, 1, 1, 16, BcmParameterization::kHadamard}),
+    [](const ::testing::TestParamInfo<Case>& info) {
+      const Case& c = info.param;
+      return testutil::conv_case_name(c.cin, c.cout, c.k, c.stride, c.pad,
+                                      c.bs) +
+             (c.mode == BcmParameterization::kHadamard ? "_hada" : "_plain");
+    });
 
 TEST(BcmConvTest, GradientCheckHadamard) {
   numeric::Rng rng(3);

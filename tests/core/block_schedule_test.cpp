@@ -1,5 +1,5 @@
-// Compacted surviving-block schedule tests: the CSR builders against a
-// direct scan of the skip index over randomized masks, and the layers'
+// Compacted surviving-block schedule tests: the CSR builder against a
+// direct scan of the skip index over a randomized mask, and the layers'
 // lazy rebuild discipline — every mask mutation rebuilds exactly once,
 // pure parameter updates never do, and a stale schedule is a hard check
 // failure rather than a silent wrong answer. Rides the counter-delta
@@ -30,53 +30,6 @@ std::vector<std::uint8_t> random_mask(std::mt19937& gen, std::size_t n,
   return m;
 }
 
-TEST(BlockScheduleTest, LinearForwardMatchesMaskScan) {
-  std::mt19937 gen(3);
-  for (int trial = 0; trial < 20; ++trial) {
-    const BcmLayout layout(1, 24, 16, 8);
-    const std::size_t nbi = layout.in_blocks(), nbo = layout.out_blocks();
-    const auto skip = random_mask(gen, layout.total_blocks(), 0.5);
-    const auto s = linear_forward_schedule(layout, skip);
-    ASSERT_EQ(s.groups(), nbo);
-    std::size_t surv = 0;
-    for (std::size_t bo = 0; bo < nbo; ++bo) {
-      const BlockSchedule::Entry* it = s.begin(bo);
-      for (std::size_t bi = 0; bi < nbi; ++bi) {
-        const std::size_t blk = bi * nbo + bo;
-        if (!skip[blk]) continue;
-        ASSERT_NE(it, s.end(bo));
-        EXPECT_EQ(it->pos, bi);
-        EXPECT_EQ(it->blk, blk);
-        ++it;
-        ++surv;
-      }
-      EXPECT_EQ(it, s.end(bo));
-    }
-    EXPECT_EQ(s.surviving(), surv);
-  }
-}
-
-TEST(BlockScheduleTest, LinearBackwardMatchesMaskScan) {
-  std::mt19937 gen(5);
-  const BcmLayout layout(1, 16, 32, 8);
-  const std::size_t nbi = layout.in_blocks(), nbo = layout.out_blocks();
-  const auto skip = random_mask(gen, layout.total_blocks(), 0.3);
-  const auto s = linear_backward_schedule(layout, skip);
-  ASSERT_EQ(s.groups(), nbi);
-  for (std::size_t bi = 0; bi < nbi; ++bi) {
-    const BlockSchedule::Entry* it = s.begin(bi);
-    for (std::size_t bo = 0; bo < nbo; ++bo) {
-      const std::size_t blk = bi * nbo + bo;
-      if (!skip[blk]) continue;
-      ASSERT_NE(it, s.end(bi));
-      EXPECT_EQ(it->pos, bo);
-      EXPECT_EQ(it->blk, blk);
-      ++it;
-    }
-    EXPECT_EQ(it, s.end(bi));
-  }
-}
-
 TEST(BlockScheduleTest, ConvRowScheduleMatchesMaskScan) {
   std::mt19937 gen(7);
   const BcmLayout layout(3, 16, 8, 8);
@@ -102,7 +55,7 @@ TEST(BlockScheduleTest, ConvRowScheduleMatchesMaskScan) {
 TEST(BlockScheduleTest, FullyPrunedMaskYieldsEmptyGroups) {
   const BcmLayout layout(1, 16, 16, 8);
   const std::vector<std::uint8_t> skip(layout.total_blocks(), 0);
-  const auto s = linear_forward_schedule(layout, skip);
+  const auto s = conv_row_schedule(layout, skip);
   EXPECT_EQ(s.surviving(), 0u);
   for (std::size_t g = 0; g < s.groups(); ++g) EXPECT_EQ(s.group_size(g), 0u);
 }
@@ -225,7 +178,7 @@ TEST(PrunedCountCacheTest, AgreesWithMaskAfterEveryMutation) {
   EXPECT_EQ(layer.pruned_count(), scan());
   layer.prune_block(0);
   EXPECT_EQ(layer.pruned_count(), 1u);
-  EXPECT_EQ(layer.pruned_count(), scan());  // cached read
+  EXPECT_EQ(layer.pruned_count(), scan());  // repeat read
   layer.prune_block(3);
   EXPECT_EQ(layer.pruned_count(), 2u);
   auto skip = layer.skip_index();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bcm_linear.hpp"
 #include "core/pruning.hpp"
 #include "models/model_zoo.hpp"
 #include "test_util.hpp"
@@ -108,6 +109,20 @@ TEST(FrequencyQuantTest, ModelWriteBackDegradesGracefully) {
   const double diff = testutil::max_abs_diff(before, after);
   EXPECT_GT(diff, 0.0);
   EXPECT_LT(diff, 50.0);
+}
+
+// BcmLinear heads are BcmConv2d's K=1 case, so model quantization covers
+// them: one stats entry per BCM layer, head included.
+TEST(FrequencyQuantTest, ModelQuantizationCoversBcmLinearHead) {
+  numeric::Rng rng(8);
+  nn::Sequential model;
+  model.emplace<BcmLinear>(16, 8, 8, /*hadamard=*/true, rng);
+  const auto x = testutil::random_tensor({2, 16}, 9, 0.5F);
+  const auto before = model.forward(x, false);
+  const auto stats = quantize_model_frequency_weights(model, 16);
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_GT(stats[0].snr_db, 70.0);
+  EXPECT_LT(testutil::max_abs_diff(before, model.forward(x, false)), 1e-3);
 }
 
 TEST(FrequencyQuantTest, PrunedBlocksStayPruned) {

@@ -1,9 +1,10 @@
-// Golden-vector regression: fixed-seed activation spectra and logits for
-// one BcmLinear and one BcmConv2d, committed as exact float bit patterns
-// (8-hex-digit words) under tests/data/golden/. Any bit drift in the
-// FFT–eMAC–IFFT kernels — reordered accumulation, a changed twiddle path,
-// an accidental fast-math flag — fails here even when the result is still
-// "numerically close".
+// Golden-vector regression: fixed-seed activation spectra, logits and
+// one backward pass (grad-input and every param grad) for one BcmLinear
+// and one BcmConv2d, plus the Q7.8 functional model's output for the conv
+// case, committed as exact float bit patterns (8-hex-digit words) under
+// tests/data/golden/. Any bit drift in the FFT–eMAC–IFFT kernels —
+// reordered accumulation, a changed twiddle path, an accidental fast-math
+// flag — fails here even when the result is still "numerically close".
 //
 // Regeneration (after an INTENDED numeric change, see docs/testing.md):
 //   RPBCM_GOLDEN_REGEN=1 ./core_golden_vector_test
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +25,8 @@
 #include "core/activation_spectra.hpp"
 #include "core/bcm_conv.hpp"
 #include "core/bcm_linear.hpp"
+#include "core/frequency_weights.hpp"
+#include "hw/functional.hpp"
 #include "numeric/random.hpp"
 #include "test_util.hpp"
 
@@ -96,12 +100,51 @@ void check_golden(const std::string& name, std::span<const float> actual) {
                             << actual.size() << " words drifted";
 }
 
-TEST(GoldenVectors, BcmLinearSpectraAndLogits) {
+// One training step's gradients: forward(x), then backward of a fixed-seed
+// upstream gradient. Pins grad-input and every param grad under `prefix`.
+void check_backward_golden(nn::Layer& layer, const tensor::Tensor& x,
+                           std::uint64_t gy_seed, const std::string& prefix) {
+  const tensor::Tensor y = layer.forward(x, /*train=*/true);
+  const tensor::Tensor gy = testutil::random_tensor(y.shape(), gy_seed);
+  nn::zero_grads(layer.params());
+  const tensor::Tensor gx = layer.backward(gy);
+  check_golden(prefix + "_grad_x.hex", gx.span());
+  for (nn::Param* p : layer.params()) {
+    // "bcm.A" / "bcmfc.B" -> "_grad_a" / "_grad_b"
+    const char tag = static_cast<char>(std::tolower(p->name.back()));
+    check_golden(prefix + "_grad_" + tag + ".hex", p->grad.span());
+  }
+}
+
+// The golden BcmLinear case: 32 -> 32, BS 8, hadaBCM, blocks 1 and 6
+// pruned, a 2-sample batch.
+core::BcmLinear golden_linear() {
   numeric::Rng rng(42);
   core::BcmLinear layer(32, 32, /*block_size=*/8, /*hadamard=*/true, rng);
   layer.prune_block(1);
   layer.prune_block(6);
+  return layer;
+}
 
+// The golden BcmConv2d case: 16 -> 16, 3x3, pad 1, BS 8, hadaBCM, blocks 2
+// and 9 pruned, one 6x6 sample.
+core::BcmConv2d golden_conv() {
+  numeric::Rng rng(43);
+  nn::ConvSpec cs;
+  cs.in_channels = 16;
+  cs.out_channels = 16;
+  cs.kernel = 3;
+  cs.stride = 1;
+  cs.pad = 1;
+  core::BcmConv2d layer(cs, /*block_size=*/8,
+                        core::BcmParameterization::kHadamard, rng);
+  layer.prune_block(2);
+  layer.prune_block(9);
+  return layer;
+}
+
+TEST(GoldenVectors, BcmLinearSpectraAndLogits) {
+  core::BcmLinear layer = golden_linear();
   const tensor::Tensor x = testutil::random_tensor({2, 32}, /*seed=*/7);
   layer.prepare_inference();
   core::ActivationSpectra spec;
@@ -114,18 +157,7 @@ TEST(GoldenVectors, BcmLinearSpectraAndLogits) {
 }
 
 TEST(GoldenVectors, BcmConv2dSpectraAndLogits) {
-  numeric::Rng rng(43);
-  nn::ConvSpec cs;
-  cs.in_channels = 16;
-  cs.out_channels = 16;
-  cs.kernel = 3;
-  cs.stride = 1;
-  cs.pad = 1;
-  core::BcmConv2d layer(cs, /*block_size=*/8,
-                        core::BcmParameterization::kHadamard, rng);
-  layer.prune_block(2);
-  layer.prune_block(9);
-
+  core::BcmConv2d layer = golden_conv();
   const tensor::Tensor x = testutil::random_tensor({1, 16, 6, 6}, /*seed=*/9);
   layer.prepare_inference();
   core::ActivationSpectra spec;
@@ -137,13 +169,33 @@ TEST(GoldenVectors, BcmConv2dSpectraAndLogits) {
   check_golden("conv_logits.hex", y.span());
 }
 
+TEST(GoldenVectors, BcmLinearBackward) {
+  core::BcmLinear layer = golden_linear();
+  check_backward_golden(layer, testutil::random_tensor({2, 32}, /*seed=*/7),
+                        /*gy_seed=*/11, "linear");
+}
+
+TEST(GoldenVectors, BcmConv2dBackward) {
+  core::BcmConv2d layer = golden_conv();
+  check_backward_golden(
+      layer, testutil::random_tensor({1, 16, 6, 6}, /*seed=*/9),
+      /*gy_seed=*/13, "conv");
+}
+
+// The Q7.8 functional model on the golden conv case: pins the fixed-point
+// datapath's bits, not just its distance from the float reference.
+TEST(GoldenVectors, BcmConv2dFixedPoint) {
+  const core::BcmConv2d layer = golden_conv();
+  const tensor::Tensor x = testutil::random_tensor({1, 16, 6, 6}, /*seed=*/9);
+  const tensor::Tensor y = hw::bcm_conv_fixed_point(
+      x, core::export_frequency_weights(layer), layer.spec());
+  check_golden("conv_q78.hex", y.span());
+}
+
 // The staged path and the training forward() must produce identical bits —
 // the goldens pin both at once.
 TEST(GoldenVectors, StagedPathMatchesForward) {
-  numeric::Rng rng(42);
-  core::BcmLinear layer(32, 32, /*block_size=*/8, /*hadamard=*/true, rng);
-  layer.prune_block(1);
-  layer.prune_block(6);
+  core::BcmLinear layer = golden_linear();
   const tensor::Tensor x = testutil::random_tensor({2, 32}, /*seed=*/7);
   const tensor::Tensor staged = layer.infer(x);
   const tensor::Tensor fwd = layer.forward(x, /*train=*/false);

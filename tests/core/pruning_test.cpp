@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bcm_linear.hpp"
 #include "models/model_zoo.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
@@ -33,8 +34,36 @@ TEST(BcmLayerSetTest, CollectsNestedBcmLayers) {
   auto set = BcmLayerSet::collect(*model);
   // Stem (3 channels) is dense; the other two convs are BCM.
   EXPECT_EQ(set.convs().size(), 2u);
-  EXPECT_EQ(set.linears().size(), 0u);
   EXPECT_GT(set.total_blocks(), 0u);
+  EXPECT_EQ(set.pruned_blocks(), 0u);
+}
+
+// A BcmLinear head is BcmConv2d's K=1 case: the set collects it in
+// visitation order next to the convs, and pruning and rollback cover it.
+TEST(BcmLayerSetTest, CollectsBcmLinearHeadInVisitationOrder) {
+  numeric::Rng rng(5);
+  nn::Sequential model;
+  nn::ConvSpec cs;
+  cs.in_channels = 8;
+  cs.out_channels = 8;
+  auto* conv =
+      model.emplace<BcmConv2d>(cs, 4, BcmParameterization::kHadamard, rng);
+  model.emplace<nn::GlobalAvgPool>();
+  auto* head = model.emplace<BcmLinear>(8, 8, 4, /*hadamard=*/true, rng);
+  EXPECT_EQ(model.forward(testutil::random_tensor({2, 8, 4, 4}), false)
+                .shape(),
+            (std::vector<std::size_t>{2, 8}));
+
+  auto set = BcmLayerSet::collect(model);
+  ASSERT_EQ(set.convs().size(), 2u);
+  EXPECT_EQ(set.convs()[0], conv);
+  EXPECT_EQ(set.convs()[1], head);
+  EXPECT_EQ(set.total_blocks(),
+            conv->layout().total_blocks() + head->layout().total_blocks());
+  const auto snap = set.snapshot();
+  head->prune_block(0);
+  EXPECT_EQ(set.pruned_blocks(), 1u);
+  set.restore(snap);
   EXPECT_EQ(set.pruned_blocks(), 0u);
 }
 

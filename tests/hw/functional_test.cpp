@@ -24,6 +24,7 @@ nn::ConvSpec spec(std::size_t cin, std::size_t cout, std::size_t k = 3,
 
 struct Case {
   std::size_t cin, cout, k, stride, pad, bs;
+  float prune = 0.0F;  // share of blocks pruned, drawn per block
 };
 
 class FixedPointEquivalence : public ::testing::TestWithParam<Case> {};
@@ -33,6 +34,13 @@ TEST_P(FixedPointEquivalence, MatchesFloatReferenceWithinQuantization) {
   numeric::Rng rng(7);
   BcmConv2d layer(spec(c.cin, c.cout, c.k, c.stride, c.pad), c.bs,
                   BcmParameterization::kHadamard, rng);
+  numeric::Rng prune_rng(17);
+  for (std::size_t b = 0; b < layer.layout().total_blocks(); ++b)
+    if (prune_rng.uniform(0.0F, 1.0F) < c.prune) layer.prune_block(b);
+  if (c.prune > 0.0F) {
+    ASSERT_GT(layer.pruned_count(), 0U);
+    ASSERT_LT(layer.pruned_count(), layer.layout().total_blocks());
+  }
   // Keep activations small so Q7.8 accumulators stay well inside range.
   const auto x = testutil::random_tensor({1, c.cin, 6, 6}, 8, 0.3F);
   const auto y_float = layer.forward(x, false);
@@ -47,11 +55,18 @@ TEST_P(FixedPointEquivalence, MatchesFloatReferenceWithinQuantization) {
   EXPECT_LT(testutil::max_abs_diff(y_fixed, y_float), tol);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, FixedPointEquivalence,
-                         ::testing::Values(Case{8, 8, 3, 1, 1, 8},
-                                           Case{8, 8, 3, 1, 1, 4},
-                                           Case{16, 8, 1, 1, 0, 8},
-                                           Case{8, 16, 3, 2, 1, 8}));
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FixedPointEquivalence,
+    ::testing::Values(Case{8, 8, 3, 1, 1, 8}, Case{8, 8, 3, 1, 1, 4},
+                      Case{16, 8, 1, 1, 0, 8}, Case{8, 16, 3, 2, 1, 8},
+                      Case{16, 16, 3, 1, 1, 8, 0.5F},
+                      Case{32, 32, 1, 1, 0, 8, 0.5F}),
+    [](const ::testing::TestParamInfo<Case>& info) {
+      const Case& c = info.param;
+      return testutil::conv_case_name(c.cin, c.cout, c.k, c.stride, c.pad,
+                                      c.bs) +
+             "_a" + std::to_string(static_cast<int>(c.prune * 100.0F));
+    });
 
 TEST(FunctionalTest, PrunedBlocksAreSkipped) {
   numeric::Rng rng(9);

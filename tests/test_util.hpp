@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -107,6 +108,17 @@ inline Tensor random_tensor(std::vector<std::size_t> shape,
   numeric::Rng rng(seed);
   tensor::fill_gaussian(t, rng, stddev);
   return t;
+}
+
+/// Stable gtest parameter-name stem for a conv shape, e.g.
+/// "ci8_co8_k3_s1_p1_bs4" — readable in `ctest -N` and identical across
+/// builds, unlike gtest's default byte dump of the parameter struct.
+inline std::string conv_case_name(std::size_t cin, std::size_t cout,
+                                  std::size_t k, std::size_t stride,
+                                  std::size_t pad, std::size_t bs) {
+  return "ci" + std::to_string(cin) + "_co" + std::to_string(cout) + "_k" +
+         std::to_string(k) + "_s" + std::to_string(stride) + "_p" +
+         std::to_string(pad) + "_bs" + std::to_string(bs);
 }
 
 /// Max absolute elementwise difference.
