@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 #include "core/compression_stats.hpp"
 #include "models/model_zoo.hpp"
 
@@ -68,7 +71,17 @@ INSTANTIATE_TEST_SUITE_P(Zoo, AllNetworks,
                          ::testing::Values(&resnet50_imagenet_shape,
                                            &resnet18_imagenet_shape,
                                            +[] { return vgg16_cifar_shape(10); },
-                                           +[] { return vgg19_cifar_shape(100); }));
+                                           +[] { return vgg19_cifar_shape(100); }),
+                         // Row name from the network's own name, e.g.
+                         // "ResNet-50/ImageNet" -> ResNet_50_ImageNet, so
+                         // it does not print the factory's load address.
+                         [](const auto& info) {
+                           std::string name = info.param().name;
+                           for (char& ch : name)
+                             if (!std::isalnum(static_cast<unsigned char>(ch)))
+                               ch = '_';
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace rpbcm::models

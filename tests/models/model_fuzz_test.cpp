@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/pruning.hpp"
 #include "models/model_zoo.hpp"
 #include "test_util.hpp"
@@ -74,7 +76,18 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzCase{ConvKind::kDense, 8, 8, false, true},
         FuzzCase{ConvKind::kBcm, 8, 8, false, true},
         FuzzCase{ConvKind::kHadaBcm, 16, 8, false, true},
-        FuzzCase{ConvKind::kHadaBcm, 16, 16, false, true}));
+        FuzzCase{ConvKind::kHadaBcm, 16, 16, false, true}),
+    // Row name from the case fields, e.g. hada_w16_bs8_resnet, instead of
+    // a byte dump of FuzzCase that includes its uninitialised padding.
+    [](const ::testing::TestParamInfo<FuzzCase>& info) {
+      const FuzzCase& c = info.param;
+      const char* kind = c.kind == ConvKind::kDense ? "dense"
+                         : c.kind == ConvKind::kBcm ? "bcm"
+                                                    : "hada";
+      const char* net = c.resnet ? "resnet" : c.deep ? "vgg19" : "vgg16";
+      return std::string(kind) + "_w" + std::to_string(c.base_width) +
+             "_bs" + std::to_string(c.block_size) + "_" + net;
+    });
 
 TEST(ModelFuzzTest, PruneThenTrainStepStillRuns) {
   // Pruned models must keep training (the fine-tune loop of Algorithm 1).
