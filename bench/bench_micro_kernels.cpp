@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the computational kernels behind
-// the paper's complexity claims: O(n^2) direct circulant matvec vs
-// O(n log n) FFT path, the FFT itself, the fixed-point PE datapath, and
-// dense vs BCM-compressed convolution forward passes.
+// the paper's complexity claims: the FFT and packed real FFT, the eMAC
+// inner loop, the fixed-point PE datapath, and dense vs BCM-compressed
+// convolution forward passes.
 
 // Observability:  --trace-out= / --metrics-out= are stripped before
 // google-benchmark sees argv; kernel timings recorded by the harness are
@@ -24,7 +24,6 @@
 
 #include "base/parallel.hpp"
 #include "core/bcm_conv.hpp"
-#include "core/circulant.hpp"
 #include "hw/emac_pe.hpp"
 #include "hw/fft_pe.hpp"
 #include "nn/conv2d.hpp"
@@ -99,28 +98,6 @@ void BM_RfftReal(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_RfftReal)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
-
-void BM_CirculantMatvecDirect(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto c = core::Circulant::from_first_column(random_vec(n, 1));
-  const auto x = random_vec(n, 2);
-  for (auto _ : state) {
-    auto y = c.matvec_direct(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_CirculantMatvecDirect)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_CirculantMatvecFft(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto c = core::Circulant::from_first_column(random_vec(n, 1));
-  const auto x = random_vec(n, 2);
-  for (auto _ : state) {
-    auto y = c.matvec_fft(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_CirculantMatvecFft)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_FixedPointFftPe(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -283,14 +260,6 @@ struct KernelBaseline {
   double threaded_ms = 0.0;
 };
 
-// Before/after row of the half-spectrum rewrite: the retired full-spectrum
-// kernel vs the live rfft path, both at num_threads()==1.
-struct HalfSpectrumRow {
-  std::string name;
-  double full_ms = 0.0;
-  double half_ms = 0.0;
-};
-
 // Row of the emac_simd section: a baseline vs an optimized path plus an
 // optional self-declared absolute speedup floor the perf gate enforces
 // (written only when the host can realize the win — see below).
@@ -300,99 +269,6 @@ struct EmacSimdRow {
   double optimized_ms = 0.0;
   double min_speedup = 0.0;  // 0 = no floor
 };
-
-// Pre-rewrite reference: full-spectrum FFT–eMAC–IFFT conv forward exactly
-// as the layers computed it before the packed-rfft path (serial, BS bins
-// per block, complex FFT with a zero imaginary lane). Kept here only to
-// measure the rewrite's speedup against an honest baseline.
-tensor::Tensor full_spectrum_conv_forward(const core::BcmConv2d& conv,
-                                          const tensor::Tensor& x) {
-  const auto& lay = conv.layout();
-  const auto& spec = conv.spec();
-  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::size_t ho = spec.out_dim(h), wo = spec.out_dim(w);
-  const std::size_t bs = lay.block_size;
-  const std::size_t nbi = lay.in_blocks(), nbo = lay.out_blocks();
-  const std::size_t k = spec.kernel, stride = spec.stride, pad = spec.pad;
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
-  const auto& skip = conv.skip_index();
-
-  std::vector<numeric::cfloat> wspec(lay.total_blocks() * bs);
-  for (std::size_t blk = 0; blk < lay.total_blocks(); ++blk) {
-    if (skip[blk] == 0) continue;
-    const auto def = conv.effective_defining(blk);
-    for (std::size_t c = 0; c < bs; ++c) wspec[blk * bs + c] = {def[c], 0.0F};
-    numeric::fft_inplace(
-        std::span<numeric::cfloat>(wspec.data() + blk * bs, bs), rom, false);
-  }
-
-  std::vector<numeric::cfloat> xspec(n * h * w * nbi * bs);
-  const float* xd = x.data();
-  for (std::size_t p = 0; p < n * h * w; ++p) {
-    const std::size_t ni = p / (h * w), ih = (p / w) % h, iw = p % w;
-    for (std::size_t bi = 0; bi < nbi; ++bi) {
-      numeric::cfloat* s = xspec.data() + (p * nbi + bi) * bs;
-      for (std::size_t c = 0; c < bs; ++c)
-        s[c] = {xd[((ni * spec.in_channels + bi * bs + c) * h + ih) * w + iw],
-                0.0F};
-      numeric::fft_inplace(std::span<numeric::cfloat>(s, bs), rom, false);
-    }
-  }
-
-  tensor::Tensor y({n, spec.out_channels, ho, wo});
-  float* yd = y.data();
-  std::vector<numeric::cfloat> acc(nbo * bs);
-  for (std::size_t q = 0; q < n * ho * wo; ++q) {
-    const std::size_t ni = q / (ho * wo), oh = (q / wo) % ho, ow = q % wo;
-    std::fill(acc.begin(), acc.end(), numeric::cfloat{0.0F, 0.0F});
-    for (std::size_t kh = 0; kh < k; ++kh) {
-      const long ih =
-          static_cast<long>(oh * stride + kh) - static_cast<long>(pad);
-      if (ih < 0 || ih >= static_cast<long>(h)) continue;
-      for (std::size_t kw = 0; kw < k; ++kw) {
-        const long iw =
-            static_cast<long>(ow * stride + kw) - static_cast<long>(pad);
-        if (iw < 0 || iw >= static_cast<long>(w)) continue;
-        const std::size_t pix =
-            (ni * h + static_cast<std::size_t>(ih)) * w +
-            static_cast<std::size_t>(iw);
-        for (std::size_t bi = 0; bi < nbi; ++bi) {
-          const numeric::cfloat* xs = xspec.data() + (pix * nbi + bi) * bs;
-          const std::size_t row = ((kh * k + kw) * nbi + bi) * nbo;
-          for (std::size_t bo = 0; bo < nbo; ++bo) {
-            const std::size_t blk = row + bo;
-            if (skip[blk] == 0) continue;
-            const numeric::cfloat* ws = wspec.data() + blk * bs;
-            numeric::cfloat* a = acc.data() + bo * bs;
-            for (std::size_t c = 0; c < bs; ++c) a[c] += ws[c] * xs[c];
-          }
-        }
-      }
-    }
-    for (std::size_t bo = 0; bo < nbo; ++bo) {
-      numeric::cfloat* a = acc.data() + bo * bs;
-      numeric::fft_inplace(std::span<numeric::cfloat>(a, bs), rom, true);
-      for (std::size_t c = 0; c < bs; ++c)
-        yd[((ni * spec.out_channels + bo * bs + c) * ho + oh) * wo + ow] =
-            a[c].real();
-    }
-  }
-  return y;
-}
-
-// Pre-rewrite reference circulant matvec: two full complex FFTs of real
-// signals, an n-bin product, one inverse FFT.
-std::vector<float> full_spectrum_matvec(const core::Circulant& c,
-                                        std::span<const float> x) {
-  const std::size_t n = c.size();
-  auto ws = numeric::fft_real(c.defining());
-  auto xs = numeric::fft_real(x);
-  for (std::size_t k = 0; k < n; ++k) xs[k] *= ws[k];
-  numeric::fft_inplace(std::span<numeric::cfloat>(xs), true);
-  std::vector<float> y(n);
-  for (std::size_t k = 0; k < n; ++k) y[k] = xs[k].real();
-  return y;
-}
 
 // Times one kernel at num_threads()==1 and at `threads`, restoring the
 // configured parallelism afterwards.
@@ -409,8 +285,8 @@ KernelBaseline baseline(const std::string& name, std::size_t threads,
   return b;
 }
 
-// Serial-vs-threaded snapshot of the runtime-wired kernels: the BCM conv
-// forward (FFT + eMAC + IFFT per block) and the batched FFT itself.
+// Serial-vs-threaded snapshot of the BCM conv forward (FFT + eMAC + IFFT
+// per block), plus the serial emac_simd rows.
 void write_kernels_json(const std::string& path, std::size_t threads) {
   std::vector<KernelBaseline> rows;
 
@@ -424,62 +300,7 @@ void write_kernels_json(const std::string& path, std::size_t threads) {
     benchmark::DoNotOptimize(y.data());
   }));
 
-  const std::size_t bs = 16, count = 4096;
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
-  std::vector<numeric::cfloat> batch(bs * count);
-  for (auto& v : batch) v = {rng.gaussian(), rng.gaussian()};
-  rows.push_back(baseline("fft_batch", threads, 50, [&] {
-    auto copy = batch;
-    numeric::fft_batch_inplace(std::span<numeric::cfloat>(copy), rom, false);
-    benchmark::DoNotOptimize(copy.data());
-  }));
-
-  std::vector<float> rbatch(bs * count);
-  for (auto& v : rbatch) v = rng.gaussian();
-  const std::size_t hb = numeric::half_bins(bs);
-  std::vector<float> bre(count * hb), bim(count * hb);
-  rows.push_back(baseline("rfft_batch", threads, 50, [&] {
-    numeric::rfft_batch_soa(rbatch, bs, bre, bim);
-    benchmark::DoNotOptimize(bre.data());
-  }));
-
-  // Before/after the half-spectrum rewrite, both sides single-threaded:
-  // the retired full-spectrum kernels vs what the layers run today.
-  std::vector<HalfSpectrumRow> half_rows;
   base::set_num_threads(1);
-  {
-    HalfSpectrumRow r;
-    r.name = "bcm_conv_forward";
-    auto warm_full = full_spectrum_conv_forward(conv, x);
-    auto warm_half = conv.forward(x, false);
-    benchmark::DoNotOptimize(warm_full.data());
-    benchmark::DoNotOptimize(warm_half.data());
-    r.full_ms = best_ms(20, [&] {
-      auto y = full_spectrum_conv_forward(conv, x);
-      benchmark::DoNotOptimize(y.data());
-    });
-    r.half_ms = best_ms(20, [&] {
-      auto y = conv.forward(x, false);
-      benchmark::DoNotOptimize(y.data());
-    });
-    half_rows.push_back(r);
-  }
-  {
-    HalfSpectrumRow r;
-    r.name = "circulant_matvec_fft";
-    const std::size_t n = 512;
-    const auto c = core::Circulant::from_first_column(random_vec(n, 1));
-    const auto v = random_vec(n, 2);
-    r.full_ms = best_ms(200, [&] {
-      auto y = full_spectrum_matvec(c, v);
-      benchmark::DoNotOptimize(y.data());
-    });
-    r.half_ms = best_ms(200, [&] {
-      auto y = c.matvec_fft(v);
-      benchmark::DoNotOptimize(y.data());
-    });
-    half_rows.push_back(r);
-  }
   // SIMD-vectorized eMAC + compacted pruned-block schedules, all serial.
   //
   // Row 1: the raw dispatched kernel vs the scalar reference over the
@@ -593,19 +414,6 @@ void write_kernels_json(const std::string& path, std::size_t threads) {
                                    ? r.serial_ms / r.threaded_ms
                                    : 0.0);
     os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"half_spectrum\": [\n";
-  for (std::size_t i = 0; i < half_rows.size(); ++i) {
-    const auto& r = half_rows[i];
-    os << "    {\"name\": ";
-    obs::write_json_string(os, r.name);
-    os << ", \"full_spectrum_ms\": ";
-    obs::write_json_number(os, r.full_ms);
-    os << ", \"half_spectrum_ms\": ";
-    obs::write_json_number(os, r.half_ms);
-    os << ", \"speedup\": ";
-    obs::write_json_number(os, r.half_ms > 0.0 ? r.full_ms / r.half_ms : 0.0);
-    os << "}" << (i + 1 < half_rows.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"emac_simd\": [\n";
   for (std::size_t i = 0; i < emac_rows.size(); ++i) {

@@ -236,6 +236,7 @@ void BcmConv2d::maybe_refresh_weight_spectra() {
                         scratch);
     }
   });
+  RPBCM_OBS_COUNT("rpbcm.numeric.rfft.transforms", blocks - pruned_count());
   wspec_state_ = state;
   wspec_valid_ = true;
   RPBCM_OBS_COUNT("rpbcm.core.wspec.refreshes", 1);
@@ -280,6 +281,7 @@ void BcmConv2d::rfft_stage(const float* xd, std::size_t n, std::size_t h,
       }
     }
   });
+  RPBCM_OBS_COUNT("rpbcm.numeric.rfft.transforms", n * h * w * nbi);
 }
 
 void BcmConv2d::emac_irfft_stage(std::size_t n, std::size_t h, std::size_t w,
@@ -354,6 +356,7 @@ void BcmConv2d::emac_irfft_stage(std::size_t n, std::size_t h, std::size_t w,
     }
     numeric::emac::note_bins(bins);
   });
+  RPBCM_OBS_COUNT("rpbcm.numeric.irfft.transforms", n * ho * wo * nbo);
 }
 
 nn::Tensor BcmConv2d::forward(const nn::Tensor& x, bool /*train*/) {
@@ -456,6 +459,7 @@ nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
       }
     }
   });
+  RPBCM_OBS_COUNT("rpbcm.numeric.rfft.transforms", n * ho * wo * nbo);
 
   // Frequency-domain accumulators for grad-input and grad-weight. Both
   // conj(W)*G and conj(X)*G are products of real-signal spectra, hence
@@ -542,6 +546,7 @@ nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
       }
     }
   });
+  RPBCM_OBS_COUNT("rpbcm.numeric.irfft.transforms", n * h * w * nbi);
 
   // Grad of the defining vectors; chain through the Hadamard factors
   // (Eq. (1): dL/dA = dL/dW ⊙ B, dL/dB = dL/dW ⊙ A). Blocks are disjoint.
@@ -564,6 +569,7 @@ nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
       }
     }
   });
+  RPBCM_OBS_COUNT("rpbcm.numeric.irfft.transforms", blocks - pruned_count());
   return gx;
 }
 

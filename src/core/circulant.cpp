@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "base/check.hpp"
-#include "numeric/aligned.hpp"
-#include "numeric/emac.hpp"
 #include "numeric/rfft.hpp"
 
 namespace rpbcm::core {
@@ -15,72 +13,12 @@ Circulant Circulant::from_first_column(std::vector<float> w) {
   return Circulant(std::move(w));
 }
 
-Circulant Circulant::from_first_row(std::span<const float> r) {
-  const std::size_t n = r.size();
-  std::vector<float> w(n);
-  for (std::size_t j = 0; j < n; ++j) w[(n - j) % n] = r[j];
-  return from_first_column(std::move(w));
-}
-
 tensor::Tensor Circulant::dense() const {
   const std::size_t n = w_.size();
   tensor::Tensor m({n, n});
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) m.at(i, j) = w_[(i + n - j) % n];
   return m;
-}
-
-std::vector<float> Circulant::matvec_direct(std::span<const float> x) const {
-  const std::size_t n = w_.size();
-  RPBCM_CHECK(x.size() == n);
-  std::vector<float> y(n, 0.0F);
-  for (std::size_t i = 0; i < n; ++i) {
-    float acc = 0.0F;
-    for (std::size_t j = 0; j < n; ++j) acc += w_[(i + n - j) % n] * x[j];
-    y[i] = acc;
-  }
-  return y;
-}
-
-std::vector<float> Circulant::matvec_fft(std::span<const float> x) const {
-  const std::size_t n = w_.size();
-  RPBCM_CHECK(x.size() == n);
-  // Real signals: only the n/2+1 non-redundant bins are transformed and
-  // multiplied; the product spectrum is Hermitian, so irfft recovers y.
-  const std::size_t hb = numeric::half_bins(n);
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(n);
-  std::vector<cfloat> scratch(numeric::rfft_scratch_size(n));
-  numeric::AlignedVec<float> wr(hb), wi(hb), xr(hb), xi(hb);
-  numeric::AlignedVec<float> acc_re(hb, 0.0F), acc_im(hb, 0.0F);
-  numeric::rfft_soa(w_.data(), wr.data(), wi.data(), rom, scratch);
-  numeric::rfft_soa(x.data(), xr.data(), xi.data(), rom, scratch);
-  emac_accumulate(wr.data(), wi.data(), xr.data(), xi.data(), acc_re.data(),
-                  acc_im.data(), hb);
-  std::vector<float> y(n);
-  numeric::irfft_soa(acc_re.data(), acc_im.data(), y.data(), rom, scratch);
-  return y;
-}
-
-std::vector<float> Circulant::matvec_transpose_fft(
-    std::span<const float> x) const {
-  const std::size_t n = w_.size();
-  RPBCM_CHECK(x.size() == n);
-  const std::size_t hb = numeric::half_bins(n);
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(n);
-  std::vector<cfloat> scratch(numeric::rfft_scratch_size(n));
-  std::vector<float> wr(hb), wi(hb), xr(hb), xi(hb);
-  numeric::rfft_soa(w_.data(), wr.data(), wi.data(), rom, scratch);
-  numeric::rfft_soa(x.data(), xr.data(), xi.data(), rom, scratch);
-  for (std::size_t k = 0; k < hb; ++k) {
-    // conj(W) ⊙ X on the half spectrum
-    const float re = wr[k] * xr[k] + wi[k] * xi[k];
-    const float im = wr[k] * xi[k] - wi[k] * xr[k];
-    xr[k] = re;
-    xi[k] = im;
-  }
-  std::vector<float> y(n);
-  numeric::irfft_soa(xr.data(), xi.data(), y.data(), rom, scratch);
-  return y;
 }
 
 Circulant Circulant::hadamard(const Circulant& other) const {
@@ -104,19 +42,6 @@ std::vector<float> Circulant::singular_values() const {
   for (std::size_t k = 0; k < s.size(); ++k) sv[k] = std::abs(s[k]);
   std::sort(sv.begin(), sv.end(), std::greater<>());
   return sv;
-}
-
-void emac_accumulate(std::span<const cfloat> w_spec,
-                     std::span<const cfloat> x_spec, std::span<cfloat> acc) {
-  RPBCM_CHECK(w_spec.size() == x_spec.size() && acc.size() == w_spec.size());
-  for (std::size_t k = 0; k < acc.size(); ++k) acc[k] += w_spec[k] * x_spec[k];
-}
-
-void emac_accumulate(const float* w_re, const float* w_im, const float* x_re,
-                     const float* x_im, float* acc_re, float* acc_im,
-                     std::size_t n) {
-  numeric::emac::mul_acc_fn()(acc_re, acc_im, w_re, w_im, x_re, x_im, n);
-  numeric::emac::note_bins(n);
 }
 
 }  // namespace rpbcm::core

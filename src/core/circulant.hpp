@@ -1,7 +1,6 @@
 #pragma once
 
 #include <complex>
-#include <span>
 #include <vector>
 
 #include "numeric/fft.hpp"
@@ -16,14 +15,12 @@ using numeric::cfloat;
 /// Every row then holds the same elements, each row rotated one step — the
 /// structure of Fig. 1a. Matrix-vector product equals circular convolution,
 /// so `C x = IFFT(FFT(w) ⊙ FFT(x))`, the "FFT–eMAC–IFFT" substitution the
-/// whole paper builds on.
+/// whole paper builds on. This type is for analysis (dense realization,
+/// spectra, singular values); BcmConv2d is the one compute path.
 class Circulant {
  public:
   /// Builds from the first column (the defining vector used everywhere).
   static Circulant from_first_column(std::vector<float> w);
-
-  /// Builds from the first row r (r[j] = C[0][j] = w[(-j) mod n]).
-  static Circulant from_first_row(std::span<const float> r);
 
   std::size_t size() const { return w_.size(); }
   const std::vector<float>& defining() const { return w_; }
@@ -31,16 +28,6 @@ class Circulant {
   /// Dense n x n realization (row-major) — used by the rank analysis and by
   /// equivalence tests.
   tensor::Tensor dense() const;
-
-  /// O(n^2) direct matvec (ground truth for tests).
-  std::vector<float> matvec_direct(std::span<const float> x) const;
-
-  /// O(n log n) matvec through the FFT path.
-  std::vector<float> matvec_fft(std::span<const float> x) const;
-
-  /// Transpose matvec: C^T x = IFFT(conj(FFT(w)) ⊙ FFT(x)). Needed by the
-  /// backward pass of BCM layers.
-  std::vector<float> matvec_transpose_fft(std::span<const float> x) const;
 
   /// Hadamard product with another circulant of the same size. The result
   /// is circulant with defining vector w_a ⊙ w_b — the identity hadaBCM
@@ -62,17 +49,5 @@ class Circulant {
   explicit Circulant(std::vector<float> w) : w_(std::move(w)) {}
   std::vector<float> w_;  // first column
 };
-
-/// Frequency-domain elementwise MAC on full spectra:
-/// acc[k] += w[k] * x[k]. The software analogue of one eMAC PE pass.
-void emac_accumulate(std::span<const cfloat> w_spec,
-                     std::span<const cfloat> x_spec, std::span<cfloat> acc);
-
-/// Split-complex SoA variant routed through the runtime-dispatched SIMD
-/// eMAC kernel (numeric::emac): acc[k] += w[k] * x[k] over n unit-stride
-/// bins. Bitwise identical across scalar and AVX2 paths.
-void emac_accumulate(const float* w_re, const float* w_im, const float* x_re,
-                     const float* x_im, float* acc_re, float* acc_im,
-                     std::size_t n);
 
 }  // namespace rpbcm::core

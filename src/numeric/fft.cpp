@@ -7,7 +7,6 @@
 
 #include "base/check.hpp"
 #include "base/mutex.hpp"
-#include "base/parallel.hpp"
 #include "base/thread_annotations.hpp"
 #include "obs/macros.hpp"
 
@@ -128,21 +127,6 @@ const TwiddleRom& twiddle_rom(std::size_t n) {
 
 void fft_inplace(std::span<cfloat> data, bool inverse) {
   fft_inplace(data, twiddle_rom(data.size()), inverse);
-}
-
-void fft_batch_inplace(std::span<cfloat> data, const TwiddleRom& rom,
-                       bool inverse) {
-  const std::size_t n = rom.size();
-  RPBCM_CHECK_MSG(n > 0 && data.size() % n == 0,
-                  "batch size " << data.size()
-                                << " is not a multiple of FFT size " << n);
-  const std::size_t count = data.size() / n;
-  // Grain: a handful of transforms per task keeps scheduling overhead
-  // below the butterfly work for the small BS-point FFTs BCM layers use.
-  base::parallel_for(0, count, 8, [&](std::size_t b, std::size_t e) {
-    for (std::size_t t = b; t < e; ++t)
-      fft_inplace(data.subspan(t * n, n), rom, inverse);
-  });
 }
 
 std::vector<cfloat> fft_real(std::span<const float> x) {

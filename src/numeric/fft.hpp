@@ -62,14 +62,6 @@ void fft_inplace(std::span<cfloat> data, bool inverse = false);
 void fft_inplace(std::span<cfloat> data, const TwiddleRom& rom,
                  bool inverse = false);
 
-/// Batched transform: `data` holds data.size()/rom.size() independent
-/// signals of rom.size() points stored back-to-back; each is transformed
-/// in place. Independent transforms are spread across the parallel runtime
-/// (base::parallel_for), and the result is bitwise identical to running
-/// fft_inplace over the batch serially, at every thread count.
-void fft_batch_inplace(std::span<cfloat> data, const TwiddleRom& rom,
-                       bool inverse = false);
-
 /// Out-of-place complex FFT of a real signal (full n-bin spectrum). For
 /// analysis paths only (spectra, singular values); compute paths use the
 /// half-spectrum kernels in numeric/rfft.hpp, which do half the butterfly

@@ -1,20 +1,8 @@
 #include "numeric/rfft.hpp"
 
 #include "base/check.hpp"
-#include "base/parallel.hpp"
-#include "obs/macros.hpp"
 
 namespace rpbcm::numeric {
-
-namespace {
-
-// Transforms per parallel task in the batch kernels. Fixed — never derived
-// from the thread count — so chunk boundaries and therefore every result
-// bit are identical at any parallelism (the src/base/parallel.hpp
-// contract).
-constexpr std::size_t kBatchGrain = 8;
-
-}  // namespace
 
 void rfft_soa(const float* x, float* re, float* im, const TwiddleRom& rom,
               std::span<cfloat> scratch) {
@@ -88,48 +76,6 @@ void irfft_soa(const float* re, const float* im, float* x,
   }
 }
 
-void rfft_batch_soa(std::span<const float> x, std::size_t n,
-                    std::span<float> re, std::span<float> im) {
-  RPBCM_CHECK_MSG(n > 0 && x.size() % n == 0,
-                  "batch size " << x.size()
-                                << " is not a multiple of signal size " << n);
-  const std::size_t count = x.size() / n;
-  const std::size_t hb = half_bins(n);
-  RPBCM_CHECK(re.size() >= count * hb && im.size() >= count * hb);
-  const TwiddleRom& rom = twiddle_rom(n);
-  RPBCM_OBS_TIMED_SCOPE("numeric", "rfft_batch",
-                        "rpbcm.numeric.rfft.batch_seconds");
-  base::parallel_for(0, count, kBatchGrain,
-                     [&](std::size_t b, std::size_t e) {
-    std::vector<cfloat> scratch(rfft_scratch_size(n));
-    for (std::size_t t = b; t < e; ++t)
-      rfft_soa(x.data() + t * n, re.data() + t * hb, im.data() + t * hb, rom,
-               scratch);
-  });
-  RPBCM_OBS_COUNT("rpbcm.numeric.rfft.transforms", count);
-}
-
-void irfft_batch_soa(std::span<const float> re, std::span<const float> im,
-                     std::size_t n, std::span<float> x) {
-  RPBCM_CHECK_MSG(n > 0 && x.size() % n == 0,
-                  "batch size " << x.size()
-                                << " is not a multiple of signal size " << n);
-  const std::size_t count = x.size() / n;
-  const std::size_t hb = half_bins(n);
-  RPBCM_CHECK(re.size() >= count * hb && im.size() >= count * hb);
-  const TwiddleRom& rom = twiddle_rom(n);
-  RPBCM_OBS_TIMED_SCOPE("numeric", "irfft_batch",
-                        "rpbcm.numeric.irfft.batch_seconds");
-  base::parallel_for(0, count, kBatchGrain,
-                     [&](std::size_t b, std::size_t e) {
-    std::vector<cfloat> scratch(rfft_scratch_size(n));
-    for (std::size_t t = b; t < e; ++t)
-      irfft_soa(re.data() + t * hb, im.data() + t * hb, x.data() + t * n, rom,
-                scratch);
-  });
-  RPBCM_OBS_COUNT("rpbcm.numeric.irfft.transforms", count);
-}
-
 std::vector<cfloat> rfft(std::span<const float> x) {
   const std::size_t n = x.size();
   RPBCM_CHECK_MSG(is_pow2(n), "rfft size must be a power of two, got " << n);
@@ -156,22 +102,6 @@ std::vector<float> irfft(std::span<const cfloat> half, std::size_t n) {
   std::vector<float> out(n);
   irfft_soa(re.data(), im.data(), out.data(), twiddle_rom(n), scratch);
   return out;
-}
-
-std::vector<cfloat> expand_half_spectrum(std::span<const cfloat> half,
-                                         std::size_t n) {
-  RPBCM_CHECK_MSG(half.size() == n / 2 + 1,
-                  "half spectrum must have n/2+1 bins");
-  std::vector<cfloat> full(n);
-  for (std::size_t k = 0; k < half.size(); ++k) full[k] = half[k];
-  for (std::size_t k = half.size(); k < n; ++k)
-    full[k] = std::conj(half[n - k]);
-  return full;
-}
-
-std::size_t rfft_butterfly_count(std::size_t n) {
-  if (n <= 2) return n / 2;  // n==2: one add/sub pair
-  return fft_butterfly_count(n / 2) + n / 2;
 }
 
 }  // namespace rpbcm::numeric

@@ -43,20 +43,6 @@ void rfft_soa(const float* x, float* re, float* im, const TwiddleRom& rom,
 void irfft_soa(const float* re, const float* im, float* x,
                const TwiddleRom& rom, std::span<cfloat> scratch);
 
-/// Batched rfft_soa: `x` holds x.size()/n signals of n points back to
-/// back; the half spectra land in (re, im), half_bins(n) bins per signal,
-/// also back to back. Independent transforms are spread over
-/// base::parallel_for with the fixed-grain chunking contract, so results
-/// are bitwise identical at every thread count. Transform counts are
-/// exported as rpbcm.numeric.rfft.transforms.
-void rfft_batch_soa(std::span<const float> x, std::size_t n,
-                    std::span<float> re, std::span<float> im);
-
-/// Batched irfft_soa, same layout and determinism contract as
-/// rfft_batch_soa. Counted as rpbcm.numeric.irfft.transforms.
-void irfft_batch_soa(std::span<const float> re, std::span<const float> im,
-                     std::size_t n, std::span<float> x);
-
 /// Real FFT returning only the n/2+1 non-redundant bins; the remaining
 /// bins are the conjugate mirror (convenience AoS wrapper of rfft_soa).
 std::vector<cfloat> rfft(std::span<const float> x);
@@ -64,14 +50,5 @@ std::vector<cfloat> rfft(std::span<const float> x);
 /// Inverse of rfft: reconstructs the length-n real signal from the n/2+1
 /// half-spectrum (conjugate symmetry is assumed).
 std::vector<float> irfft(std::span<const cfloat> half, std::size_t n);
-
-/// Expands an n/2+1 half-spectrum into the full n-bin spectrum.
-std::vector<cfloat> expand_half_spectrum(std::span<const cfloat> half,
-                                         std::size_t n);
-
-/// Real-MAC-equivalent butterfly operations of the packed real FFT of size
-/// n: the n/2-point complex FFT plus the n/2-op untangling stage — roughly
-/// half of fft_butterfly_count(n).
-std::size_t rfft_butterfly_count(std::size_t n);
 
 }  // namespace rpbcm::numeric

@@ -34,7 +34,7 @@ struct HistogramStats {
 
 /// Distribution metric interface. Two implementations:
 ///
-///   BucketHistogram  (default behind Registry::histogram())
+///   BucketHistogram  (what Registry::histogram() hands out)
 ///     fixed-size log-linear buckets, bounded memory, lock-free sharded
 ///     recording, mergeable snapshots, percentiles within a documented
 ///     relative-error bound (obs/bucket_histogram.hpp).

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <ostream>
 
-#include "base/check.hpp"
 #include "obs/bucket_histogram.hpp"
 #include "obs/json.hpp"
 
@@ -190,23 +189,14 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& Registry::histogram(std::string_view name, HistogramKind kind) {
+Histogram& Registry::histogram(std::string_view name) {
   base::MutexLock lock(mu_);
   auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    HistogramEntry entry;
-    entry.kind = kind;
-    if (kind == HistogramKind::kBucket)
-      entry.histogram = std::make_unique<BucketHistogram>();
-    else
-      entry.histogram = std::make_unique<ExactHistogram>();
-    it = histograms_.emplace(std::string(name), std::move(entry)).first;
-  }
-  RPBCM_CHECK_MSG(it->second.kind == kind,
-                  "histogram '" << std::string(name)
-                                << "' already registered with a different "
-                                   "HistogramKind");
-  return *it->second.histogram;
+  if (it == histograms_.end())
+    it = histograms_
+             .emplace(std::string(name), std::make_unique<BucketHistogram>())
+             .first;
+  return *it->second;
 }
 
 RegistrySnapshot Registry::snapshot() const {
@@ -227,8 +217,8 @@ RegistrySnapshot Registry::snapshot() const {
     m.value = g->value();
     snap.metrics.push_back(std::move(m));
   }
-  for (const auto& [name, entry] : histograms_) {
-    const HistogramStats s = entry.histogram->stats();
+  for (const auto& [name, h] : histograms_) {
+    const HistogramStats s = h->stats();
     MetricSnapshot m;
     m.name = name;
     m.kind = MetricKind::kHistogram;

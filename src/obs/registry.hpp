@@ -40,11 +40,6 @@ class Gauge {
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
-/// Which Histogram implementation Registry::histogram() hands out.
-/// kBucket (the default) is the bounded lock-free BucketHistogram; kExact
-/// is the raw-sample ExactHistogram for tests and offline analysis.
-enum class HistogramKind { kBucket, kExact };
-
 /// Point-in-time copy of one metric, decoupled from the live registry.
 struct MetricSnapshot {
   std::string name;
@@ -98,13 +93,9 @@ class Registry {
 
   Counter& counter(std::string_view name) RPBCM_EXCLUDES(mu_);
   Gauge& gauge(std::string_view name) RPBCM_EXCLUDES(mu_);
-  /// Returns the histogram registered under `name`, creating it with the
-  /// requested implementation on first use. Re-requesting an existing name
-  /// with a different kind is a contract violation (CheckError): a metric
-  /// name denotes one distribution.
-  Histogram& histogram(std::string_view name,
-                       HistogramKind kind = HistogramKind::kBucket)
-      RPBCM_EXCLUDES(mu_);
+  /// Returns the bounded lock-free BucketHistogram registered under
+  /// `name`, creating it on first use.
+  Histogram& histogram(std::string_view name) RPBCM_EXCLUDES(mu_);
 
   RegistrySnapshot snapshot() const RPBCM_EXCLUDES(mu_);
   void write_json(std::ostream& os) const;
@@ -115,17 +106,12 @@ class Registry {
   void clear() RPBCM_EXCLUDES(mu_);
 
  private:
-  struct HistogramEntry {
-    HistogramKind kind = HistogramKind::kBucket;
-    std::unique_ptr<Histogram> histogram;
-  };
-
   mutable base::Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       RPBCM_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       RPBCM_GUARDED_BY(mu_);
-  std::map<std::string, HistogramEntry, std::less<>> histograms_
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       RPBCM_GUARDED_BY(mu_);
 };
 

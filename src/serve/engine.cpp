@@ -15,6 +15,14 @@
 namespace rpbcm::serve {
 namespace {
 
+// Batches of at most this many requests run their stage compute inline on
+// the stage thread (base::SerialSection) instead of fanning out to the
+// pool: a micro-batch stage is a handful of microseconds of work, far below
+// the cost of a pool wakeup, and the engine already overlaps the two stages
+// across its pipeline threads. Chunk boundaries are unchanged, so outputs
+// stay bitwise identical either way. Larger batches use the pool.
+constexpr std::size_t kInlineStageBatch = 8;
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -44,7 +52,6 @@ Engine::Engine(StagedModel& model, EngineOptions opts)
     : model_(model),
       batcher_(opts.batcher),
       channel_(/*capacity=*/1),  // the C_fft/C_emac ping-pong pair
-      inline_stage_batch_(opts.inline_stage_batch),
       stall_timeout_(opts.stall_timeout),
       watchdog_poll_(opts.watchdog_poll),
       sample_shape_(model.sample_shape()),
@@ -208,12 +215,10 @@ void Engine::fft_loop() {
     fl.batch_size = n;
     fl.batch_seq = seq;
     fl.dispatch = dispatch;
-    if (n <= inline_stage_batch_) {
-      const base::SerialSection inline_stage;
-      model_.stage_rfft(stacked, fl.spec);
-    } else {
-      model_.stage_rfft(stacked, fl.spec);
-    }
+    std::optional<base::SerialSection> inline_stage;
+    if (n <= kInlineStageBatch) inline_stage.emplace();
+    model_.stage_rfft(stacked, fl.spec);
+    inline_stage.reset();
     // push() blocking is the pipeline's backpressure: at capacity 1 this
     // thread stalls only while BOTH buffers are occupied. A refused push
     // means the failure path closed the channel under us — resolve this
@@ -235,13 +240,10 @@ void Engine::emac_loop() {
         "serve.engine.emac",
         throw std::runtime_error("injected serve.engine.emac fault"));
 
-    tensor::Tensor y;
-    if (fl->batch_size <= inline_stage_batch_) {
-      const base::SerialSection inline_stage;
-      y = model_.stage_emac_irfft(fl->spec);
-    } else {
-      y = model_.stage_emac_irfft(fl->spec);
-    }
+    std::optional<base::SerialSection> inline_stage;
+    if (fl->batch_size <= kInlineStageBatch) inline_stage.emplace();
+    tensor::Tensor y = model_.stage_emac_irfft(fl->spec);
+    inline_stage.reset();
     const Clock::time_point done = Clock::now();
     const double exec = seconds_between(fl->dispatch, done);
 

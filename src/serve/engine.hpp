@@ -20,14 +20,6 @@ namespace rpbcm::serve {
 
 struct EngineOptions {
   BatcherOptions batcher;
-  /// Batches of at most this many requests run their stage compute inline
-  /// on the stage thread (base::SerialSection) instead of fanning out to
-  /// the pool: a micro-batch stage is a handful of microseconds of work,
-  /// far below the cost of a pool wakeup, and the engine already overlaps
-  /// the two stages across its pipeline threads. Chunk boundaries are
-  /// unchanged, so outputs stay bitwise identical either way. Batches
-  /// larger than this use the pool. 0 disables inlining entirely.
-  std::size_t inline_stage_batch = 8;
   /// Stage watchdog: a stage thread that has been busy on one micro-batch
   /// longer than this is declared stalled — the engine fails every queued
   /// and in-flight request with Status::kInternal instead of letting their
@@ -171,7 +163,6 @@ class Engine {
   StagedModel& model_;
   Batcher batcher_;
   base::StageChannel<InFlight> channel_;
-  const std::size_t inline_stage_batch_;
   const std::chrono::milliseconds stall_timeout_;
   const std::chrono::milliseconds watchdog_poll_;
   const std::vector<std::size_t> sample_shape_;

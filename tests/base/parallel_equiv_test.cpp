@@ -23,7 +23,6 @@
 #include "nn/pool.hpp"
 #include "nn/sequential.hpp"
 #include "nn/trainer.hpp"
-#include "numeric/fft.hpp"
 #include "test_util.hpp"
 
 namespace rpbcm {
@@ -115,33 +114,6 @@ TEST(ParallelEquivTest, BcmConvBitwiseAcrossThreadCounts) {
   for (std::size_t t : kThreadCounts) {
     base::set_num_threads(t);
     expect_layer_runs_equal(run_bcm_conv(), want);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// numeric: batched FFT
-
-TEST(ParallelEquivTest, FftBatchMatchesSerialLoopBitwise) {
-  ThreadGuard guard;
-  const std::size_t bs = 8, count = 33;  // odd count: short tail chunk
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
-  numeric::Rng rng(9);
-  std::vector<numeric::cfloat> init(bs * count);
-  for (auto& v : init)
-    v = numeric::cfloat(rng.uniform(-1.0F, 1.0F), rng.uniform(-1.0F, 1.0F));
-
-  auto want = init;
-  for (std::size_t t = 0; t < count; ++t)
-    numeric::fft_inplace(
-        std::span<numeric::cfloat>(want).subspan(t * bs, bs), rom, false);
-
-  for (std::size_t threads : kThreadCounts) {
-    base::set_num_threads(threads);
-    auto got = init;
-    numeric::fft_batch_inplace(std::span<numeric::cfloat>(got), rom, false);
-    for (std::size_t i = 0; i < got.size(); ++i)
-      ASSERT_EQ(got[i], want[i]) << "batch FFT diverges at " << i << " with "
-                                 << threads << " threads";
   }
 }
 

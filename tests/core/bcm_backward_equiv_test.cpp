@@ -101,7 +101,11 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, BcmBackwardEquivalence,
     ::testing::Values(Case{8, 8, 3, 1, 1, 4}, Case{8, 8, 3, 1, 1, 8},
                       Case{16, 8, 3, 2, 1, 8}, Case{8, 16, 1, 1, 0, 8},
-                      Case{16, 16, 3, 1, 1, 16}),
+                      Case{16, 16, 3, 1, 1, 16},
+                      // BS 2, 32 and 64: the transpose product at every
+                      // power-of-two size from 2 to 64.
+                      Case{4, 4, 3, 1, 1, 2}, Case{32, 32, 1, 1, 0, 32},
+                      Case{64, 64, 1, 1, 0, 64}),
     [](const ::testing::TestParamInfo<Case>& info) {
       const Case& c = info.param;
       return testutil::conv_case_name(c.cin, c.cout, c.k, c.stride, c.pad,

@@ -53,7 +53,12 @@ INSTANTIATE_TEST_SUITE_P(
         Case{16, 8, 3, 1, 1, 8, BcmParameterization::kPlain},
         Case{8, 16, 1, 1, 0, 8, BcmParameterization::kHadamard},
         Case{16, 16, 3, 2, 1, 16, BcmParameterization::kPlain},
-        Case{32, 16, 3, 1, 1, 16, BcmParameterization::kHadamard}),
+        Case{32, 16, 3, 1, 1, 16, BcmParameterization::kHadamard},
+        // BS 2, 32 and 64 keep the circulant FFT identity covered at every
+        // power-of-two size from 2 to 64.
+        Case{4, 4, 3, 1, 1, 2, BcmParameterization::kPlain},
+        Case{32, 32, 1, 1, 0, 32, BcmParameterization::kHadamard},
+        Case{64, 64, 1, 1, 0, 64, BcmParameterization::kPlain}),
     [](const ::testing::TestParamInfo<Case>& info) {
       const Case& c = info.param;
       return testutil::conv_case_name(c.cin, c.cout, c.k, c.stride, c.pad,

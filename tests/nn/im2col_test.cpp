@@ -73,7 +73,13 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmEquivalence,
                                            Shape{4, 4, 1, 1, 0, 5},
                                            Shape{8, 16, 3, 2, 1, 9},
                                            Shape{2, 2, 5, 1, 2, 7},
-                                           Shape{16, 8, 3, 1, 0, 6}));
+                                           Shape{16, 8, 3, 1, 0, 6}),
+                         [](const ::testing::TestParamInfo<Shape>& info) {
+                           const Shape& p = info.param;
+                           return testutil::conv_case_name(p.cin, p.cout, p.k,
+                                                           p.stride, p.pad) +
+                                  "_img" + std::to_string(p.img);
+                         });
 
 }  // namespace
 }  // namespace rpbcm::nn

@@ -136,19 +136,6 @@ TEST_P(FftRoundTrip, RealSpectrumIsConjugateSymmetric) {
 INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip,
                          ::testing::Values(2, 4, 8, 16, 32, 64, 128));
 
-TEST(FftTest, ExpandHalfSpectrumMatchesFull) {
-  Rng rng(7);
-  std::vector<float> x(16);
-  for (auto& v : x) v = rng.gaussian();
-  const auto full = fft_real(x);
-  const auto half = rfft(x);
-  const auto expanded = expand_half_spectrum(half, 16);
-  for (std::size_t k = 0; k < 16; ++k) {
-    EXPECT_NEAR(expanded[k].real(), full[k].real(), 1e-5);
-    EXPECT_NEAR(expanded[k].imag(), full[k].imag(), 1e-5);
-  }
-}
-
 TEST(FftTest, ButterflyCount) {
   EXPECT_EQ(fft_butterfly_count(1), 0u);
   EXPECT_EQ(fft_butterfly_count(2), 1u);

@@ -7,18 +7,11 @@
 #include <vector>
 
 #include "base/check.hpp"
-#include "base/parallel.hpp"
 #include "numeric/fft.hpp"
 #include "numeric/random.hpp"
 
 namespace rpbcm::numeric {
 namespace {
-
-// Restores the configured parallelism when a test tweaks it.
-struct ThreadGuard {
-  std::size_t saved = base::num_threads();
-  ~ThreadGuard() { base::set_num_threads(saved); }
-};
 
 std::vector<float> random_signal(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -65,17 +58,6 @@ TEST_P(RfftSizes, ParsevalHolds) {
               1e-3 * time_energy + 1e-5);
 }
 
-TEST_P(RfftSizes, ExpandHalfSpectrumMatchesFull) {
-  const std::size_t n = GetParam();
-  const auto x = random_signal(n, n + 3);
-  const auto expanded = expand_half_spectrum(rfft(x), n);
-  const auto full = fft_real(x);
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(expanded[k].real(), full[k].real(), 2e-3F) << "bin " << k;
-    EXPECT_NEAR(expanded[k].imag(), full[k].imag(), 2e-3F) << "bin " << k;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, RfftSizes,
                          ::testing::Values(4, 8, 16, 32, 64, 128, 256, 512));
 
@@ -113,16 +95,6 @@ TEST(RfftTest, TinySizesBySpecialCase) {
   EXPECT_EQ(back2[1], -1.0F);
 }
 
-TEST(RfftTest, ButterflyCountIsHalved) {
-  // Packed transform: an n/2-point FFT plus n/2 untangle ops.
-  EXPECT_EQ(rfft_butterfly_count(1), 0u);
-  EXPECT_EQ(rfft_butterfly_count(2), 1u);
-  EXPECT_EQ(rfft_butterfly_count(8), fft_butterfly_count(4) + 4);
-  EXPECT_EQ(rfft_butterfly_count(64), fft_butterfly_count(32) + 32);
-  for (std::size_t n = 8; n <= 512; n *= 2)
-    EXPECT_LT(rfft_butterfly_count(n), fft_butterfly_count(n));
-}
-
 TEST(RfftTest, TwiddleRomCacheReturnsStableReference) {
   const TwiddleRom& a = twiddle_rom(64);
   const TwiddleRom& b = twiddle_rom(64);
@@ -137,72 +109,6 @@ TEST(RfftTest, RejectsBadSizes) {
   std::vector<cfloat> half(5);
   EXPECT_THROW(irfft(half, 12), CheckError);
   EXPECT_THROW(irfft(half, 16), CheckError);  // 16/2+1 != 5
-}
-
-// ---------------------------------------------------------------------------
-// Batch kernels: serial-vs-parallel bitwise equivalence (the `par` contract).
-
-TEST(RfftBatchTest, BitwiseIdenticalAcrossThreadCounts) {
-  ThreadGuard guard;
-  const std::size_t n = 16, count = 37;  // odd count: short tail chunk
-  const auto x = random_signal(n * count, 5);
-  const std::size_t hb = half_bins(n);
-
-  base::set_num_threads(1);
-  std::vector<float> want_re(count * hb), want_im(count * hb);
-  rfft_batch_soa(x, n, want_re, want_im);
-
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    base::set_num_threads(threads);
-    std::vector<float> re(count * hb), im(count * hb);
-    rfft_batch_soa(x, n, re, im);
-    for (std::size_t i = 0; i < re.size(); ++i) {
-      ASSERT_EQ(re[i], want_re[i]) << threads << " threads, i=" << i;
-      ASSERT_EQ(im[i], want_im[i]) << threads << " threads, i=" << i;
-    }
-  }
-}
-
-TEST(RfftBatchTest, InverseBatchRoundTripAcrossThreadCounts) {
-  ThreadGuard guard;
-  const std::size_t n = 32, count = 19;
-  const auto x = random_signal(n * count, 6);
-  const std::size_t hb = half_bins(n);
-  std::vector<float> re(count * hb), im(count * hb);
-  rfft_batch_soa(x, n, re, im);
-
-  base::set_num_threads(1);
-  std::vector<float> want(n * count);
-  irfft_batch_soa(re, im, n, want);
-  for (std::size_t i = 0; i < want.size(); ++i)
-    EXPECT_NEAR(want[i], x[i], 1e-3F);
-
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    base::set_num_threads(threads);
-    std::vector<float> got(n * count);
-    irfft_batch_soa(re, im, n, got);
-    for (std::size_t i = 0; i < got.size(); ++i)
-      ASSERT_EQ(got[i], want[i]) << threads << " threads, i=" << i;
-  }
-}
-
-TEST(RfftBatchTest, MatchesSingleTransformLoop) {
-  const std::size_t n = 64, count = 9;
-  const auto x = random_signal(n * count, 7);
-  const std::size_t hb = half_bins(n);
-  std::vector<float> re(count * hb), im(count * hb);
-  rfft_batch_soa(x, n, re, im);
-
-  const TwiddleRom& rom = twiddle_rom(n);
-  std::vector<cfloat> scratch(rfft_scratch_size(n));
-  std::vector<float> sre(hb), sim(hb);
-  for (std::size_t t = 0; t < count; ++t) {
-    rfft_soa(x.data() + t * n, sre.data(), sim.data(), rom, scratch);
-    for (std::size_t k = 0; k < hb; ++k) {
-      ASSERT_EQ(re[t * hb + k], sre[k]) << "t=" << t << " k=" << k;
-      ASSERT_EQ(im[t * hb + k], sim[k]) << "t=" << t << " k=" << k;
-    }
-  }
 }
 
 }  // namespace

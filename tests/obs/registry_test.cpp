@@ -69,8 +69,7 @@ TEST(RegistryTest, ConcurrentMixedRegistration) {
 }
 
 TEST(RegistryTest, HistogramPercentiles) {
-  Registry reg;
-  Histogram& h = reg.histogram("rpbcm.test.latency", HistogramKind::kExact);
+  ExactHistogram h;
   for (int v = 1; v <= 100; ++v) h.record(static_cast<double>(v));
   EXPECT_EQ(h.count(), 100u);
   EXPECT_DOUBLE_EQ(h.sum(), 5050.0);
@@ -97,14 +96,6 @@ TEST(RegistryTest, HistogramSingleSampleAndEmpty) {
   EXPECT_DOUBLE_EQ(h.percentile(50.0), 3.25);
   EXPECT_DOUBLE_EQ(h.percentile(100.0), 3.25);
   EXPECT_FALSE(h.stats().empty());
-}
-
-TEST(RegistryTest, HistogramKindMismatchIsContractViolation) {
-  Registry reg;
-  reg.histogram("rpbcm.test.kinded", HistogramKind::kBucket);
-  EXPECT_NO_THROW(reg.histogram("rpbcm.test.kinded", HistogramKind::kBucket));
-  EXPECT_THROW(reg.histogram("rpbcm.test.kinded", HistogramKind::kExact),
-               CheckError);
 }
 
 TEST(RegistryTest, HistogramNanRejectedAtRecord) {

@@ -166,7 +166,7 @@ if [[ "${SKIP_PERF_GATE:-0}" != "1" ]]; then
     --kernels-json="$gate_json" > /dev/null
   build-strict/tools/perf_gate \
     --baseline=bench/baselines/BENCH_kernels.json --current="$gate_json" \
-    --section=kernels --section=half_spectrum --section=emac_simd
+    --section=kernels --section=emac_simd
 fi
 
 if [[ "${SKIP_SERVE:-0}" != "1" ]]; then

@@ -6,7 +6,7 @@
 //             [--strict-ms] [--section=NAME ...] [--min-speedup=X]
 //     Diffs two benchmark JSON files (written by `bench_micro_kernels
 //     --kernels-json` or `bench_serve_throughput --json`). The gate
-//     compares *speedup ratios* (serial/threaded, full/half spectrum,
+//     compares *speedup ratios* (serial/threaded, baseline/optimized,
 //     single-request/batched), which are stable across machines, and
 //     fails when a current ratio drops more than `tolerance` (fraction,
 //     default 0.25) below its baseline. A kernel present in the baseline
@@ -17,7 +17,7 @@
 //     same host, e.g. a bisect.
 //
 //     --section=NAME (repeatable) restricts the gate to the named
-//     section(s); known sections are kernels, half_spectrum, emac_simd and
+//     section(s); known sections are kernels, emac_simd and
 //     serve_throughput. --min-speedup=X additionally requires every gated
 //     row's *current* speedup to be at least X — an absolute deployment
 //     floor on top of the relative ratio gate (the serve stage of
@@ -98,7 +98,6 @@ struct Section {
 
 constexpr Section kSections[] = {
     {"kernels", "threaded_ms"},
-    {"half_spectrum", "half_spectrum_ms"},
     {"emac_simd", "optimized_ms"},
     {"serve_throughput", "batched_ms"},
 };
@@ -145,8 +144,8 @@ void gate_section(GateState& gate, const std::string& section,
     }
     const Row& c = it->second;
     char buf[160];
-    // Speedup floor. Baselines recorded at ~1x (no parallel/half-spectrum
-    // win) cannot meaningfully regress by ratio; the floor still applies.
+    // Speedup floor. Baselines recorded at ~1x (no parallel or SIMD win)
+    // cannot meaningfully regress by ratio; the floor still applies.
     const double floor = b.speedup * (1.0 - tolerance);
     if (!(c.speedup >= floor)) {  // catches NaN too
       std::snprintf(buf, sizeof buf,
