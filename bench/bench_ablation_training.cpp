@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
                 trainer.evaluate() * 100.0, mean_eff_rank(*model));
   }
 
-  // (b) ADMM-regularized dense training + hard projection + fine-tune of
-  // the projected (now-circulant) weights via from_dense conversion.
+  // (b) ADMM-regularized dense training + hard projection + projected
+  // fine-tune of the (now-circulant) dense weights.
   {
     auto model = models::make_scaled_vgg(model_cfg(models::ConvKind::kDense));
     core::AdmmCirculantRegularizer admm(*model, kBs, 0.05F);

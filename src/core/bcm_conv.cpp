@@ -52,51 +52,6 @@ BcmConv2d::BcmConv2d(nn::ConvSpec spec, std::size_t block_size,
   }
 }
 
-std::unique_ptr<BcmConv2d> BcmConv2d::from_dense(const nn::Conv2d& dense,
-                                                 std::size_t block_size,
-                                                 BcmParameterization mode) {
-  numeric::Rng rng(0);
-  auto bcm =
-      std::make_unique<BcmConv2d>(dense.spec(), block_size, mode, rng);
-  const auto& lay = bcm->layout_;
-  const std::size_t bs = lay.block_size;
-  const auto& wd = dense.weight().value;
-  for (std::size_t kh = 0; kh < lay.kernel; ++kh) {
-    for (std::size_t kw = 0; kw < lay.kernel; ++kw) {
-      for (std::size_t bi = 0; bi < lay.in_blocks(); ++bi) {
-        for (std::size_t bo = 0; bo < lay.out_blocks(); ++bo) {
-          const std::size_t id = lay.block_id(kh, kw, bi, bo);
-          for (std::size_t d = 0; d < bs; ++d) {
-            // Least-squares circulant fit: average the d-th circulant
-            // diagonal of the dense block.
-            float acc = 0.0F;
-            for (std::size_t l = 0; l < bs; ++l) {
-              const std::size_t co = bo * bs + (l + d) % bs;
-              const std::size_t ci = bi * bs + l;
-              acc += wd.at(co, ci, kh, kw);
-            }
-            const float v = acc / static_cast<float>(bs);
-            if (mode == BcmParameterization::kHadamard) {
-              bcm->a_.value.at(id, d) = v;
-              bcm->b_.value.at(id, d) = 1.0F;
-            } else {
-              bcm->w_.value.at(id, d) = v;
-            }
-          }
-        }
-      }
-    }
-  }
-  // The loops above wrote the parameter tensors directly.
-  if (mode == BcmParameterization::kHadamard) {
-    bcm->a_.mark_updated();
-    bcm->b_.mark_updated();
-  } else {
-    bcm->w_.mark_updated();
-  }
-  return bcm;
-}
-
 std::vector<float> BcmConv2d::effective_defining(std::size_t block) const {
   const std::size_t bs = layout_.block_size;
   RPBCM_CHECK(block < layout_.total_blocks());

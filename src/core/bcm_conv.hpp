@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 
 #include "core/activation_spectra.hpp"
 #include "core/bcm_layout.hpp"
@@ -37,13 +36,6 @@ class BcmConv2d : public nn::Layer {
  public:
   BcmConv2d(nn::ConvSpec spec, std::size_t block_size,
             BcmParameterization mode, numeric::Rng& rng);
-
-  /// Projects a trained dense convolution onto the block-circulant
-  /// structure (per-block diagonal averaging, the least-squares circulant
-  /// fit). Hadamard mode seeds A with the projection and B with ones.
-  static std::unique_ptr<BcmConv2d> from_dense(const nn::Conv2d& dense,
-                                               std::size_t block_size,
-                                               BcmParameterization mode);
 
   nn::Tensor forward(const nn::Tensor& x, bool train) override;
   nn::Tensor backward(const nn::Tensor& gy) override;

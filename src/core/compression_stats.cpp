@@ -90,74 +90,4 @@ CompressionReport analyze_compression(const NetworkShape& net,
   return r;
 }
 
-MixedCompressionConfig uniform_mixed_config(const NetworkShape& net,
-                                            std::size_t bs, double alpha) {
-  MixedCompressionConfig cfg;
-  cfg.conv_block_sizes.reserve(net.convs.size());
-  cfg.conv_alphas.assign(net.convs.size(), alpha);
-  for (const auto& c : net.convs)
-    cfg.conv_block_sizes.push_back(c.bcm_compressible(bs) ? bs : 0);
-  cfg.fc_block_size = bs;
-  cfg.fc_alpha = alpha;
-  return cfg;
-}
-
-CompressionReport analyze_mixed_compression(
-    const NetworkShape& net, const MixedCompressionConfig& cfg) {
-  RPBCM_CHECK_MSG(cfg.conv_block_sizes.size() == net.convs.size() &&
-                      cfg.conv_alphas.size() == net.convs.size(),
-                  "mixed config must have one (BS, alpha) per conv");
-  CompressionReport r;
-  r.dense_params = net.dense_params();
-  r.dense_flops = net.dense_flops();
-  r.compressed_params = net.other_params;
-
-  for (std::size_t i = 0; i < net.convs.size(); ++i) {
-    const auto& c = net.convs[i];
-    const std::size_t bs = cfg.conv_block_sizes[i];
-    if (bs == 0 || !c.bcm_compressible(bs)) {
-      RPBCM_CHECK_MSG(bs == 0, "layer " << c.name
-                                        << " cannot take BS=" << bs);
-      r.compressed_params += c.dense_params();
-      r.compressed_flops += c.dense_flops();
-      continue;
-    }
-    const std::size_t nbi = c.in_channels / bs;
-    const std::size_t nbo = c.out_channels / bs;
-    const std::size_t blocks = c.kernel * c.kernel * nbi * nbo;
-    const auto pruned = static_cast<std::size_t>(
-        static_cast<double>(blocks) *
-        std::clamp(cfg.conv_alphas[i], 0.0, 1.0));
-    const std::size_t live = blocks - pruned;
-    r.compressed_params += live * bs;
-    r.skip_index_bits += blocks;
-    const std::size_t in_pixels = c.in_h * c.in_w;
-    const std::size_t out_pixels = c.out_h() * c.out_w();
-    r.compressed_flops += in_pixels * nbi * fft_flops(bs);
-    r.compressed_flops += out_pixels * live * emac_flops_per_block(bs);
-    r.compressed_flops += out_pixels * nbo * fft_flops(bs);
-  }
-
-  for (const auto& f : net.fcs) {
-    const std::size_t bs = cfg.fc_block_size;
-    if (!cfg.compress_fc || bs == 0 || !f.bcm_compressible(bs)) {
-      r.compressed_params += f.dense_params();
-      r.compressed_flops += f.dense_flops();
-      continue;
-    }
-    const std::size_t nbi = f.in_features / bs;
-    const std::size_t nbo = f.out_features / bs;
-    const std::size_t blocks = nbi * nbo;
-    const auto pruned = static_cast<std::size_t>(
-        static_cast<double>(blocks) * std::clamp(cfg.fc_alpha, 0.0, 1.0));
-    const std::size_t live = blocks - pruned;
-    r.compressed_params += live * bs;
-    r.skip_index_bits += blocks;
-    r.compressed_flops += nbi * fft_flops(bs);
-    r.compressed_flops += live * emac_flops_per_block(bs);
-    r.compressed_flops += nbo * fft_flops(bs);
-  }
-  return r;
-}
-
 }  // namespace rpbcm::core

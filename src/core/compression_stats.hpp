@@ -108,24 +108,4 @@ std::size_t emac_flops_per_block(std::size_t bs);
 CompressionReport analyze_compression(const NetworkShape& net,
                                       const BcmCompressionConfig& cfg);
 
-/// Per-layer heterogeneous configuration (REQ-YOLO assigns different BS to
-/// different layers; Algorithm 1's global threshold likewise yields
-/// per-layer pruning ratios). block_size 0 keeps a layer dense.
-struct MixedCompressionConfig {
-  std::vector<std::size_t> conv_block_sizes;  // one entry per conv
-  std::vector<double> conv_alphas;            // one entry per conv
-  std::size_t fc_block_size = 8;
-  double fc_alpha = 0.0;
-  bool compress_fc = true;
-};
-
-/// Uniform mixed config: every compressible conv gets (bs, alpha); the
-/// stem and other non-divisible layers get 0 (dense).
-MixedCompressionConfig uniform_mixed_config(const NetworkShape& net,
-                                            std::size_t bs, double alpha);
-
-/// Analytic report under a per-layer configuration.
-CompressionReport analyze_mixed_compression(const NetworkShape& net,
-                                            const MixedCompressionConfig& cfg);
-
 }  // namespace rpbcm::core

@@ -19,7 +19,7 @@ struct FrequencyQuantStats {
   double snr_db = 0.0;       // spectral signal-to-quantization-noise
 };
 
-/// Quantizes the surviving half-spectra of a deployment blob in place.
+/// Quantizes the surviving half-spectra of exported weights in place.
 /// `bits` covers each real component (re and im quantized independently,
 /// as the 2x16-bit weight words of the accelerator do).
 FrequencyQuantStats quantize_frequency_weights(FrequencyLayerWeights& fw,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -38,30 +37,6 @@ std::vector<double> BcmLayerSet::norm_list() const {
     norms.insert(norms.end(), v.begin(), v.end());
   }
   return norms;
-}
-
-std::vector<double> BcmLayerSet::importance_list(
-    ImportanceCriterion criterion, std::uint64_t seed) const {
-  if (criterion == ImportanceCriterion::kL2) return norm_list();
-  std::vector<double> scores;
-  scores.reserve(total_blocks());
-  numeric::Rng rng(seed);
-  for (const BcmConv2d* layer : convs_) {
-    for (std::size_t b = 0; b < layer->layout().total_blocks(); ++b) {
-      if (criterion == ImportanceCriterion::kRandom) {
-        scores.push_back(layer->is_pruned(b)
-                             ? 0.0
-                             : static_cast<double>(rng.uniform(0.0F, 1.0F)));
-        continue;
-      }
-      const auto w = layer->effective_defining(b);
-      double s = 0.0;
-      for (float v : w) s += std::abs(static_cast<double>(v));
-      // ℓ1 of the full block = BS * ℓ1 of the defining vector.
-      scores.push_back(s * static_cast<double>(layer->layout().block_size));
-    }
-  }
-  return scores;
 }
 
 std::size_t BcmLayerSet::prune_below(const std::vector<double>& norms,

@@ -39,14 +39,6 @@ struct PruneResult {
   std::size_t total_blocks = 0;
 };
 
-/// Importance criterion for ranking BCMs. The paper uses the ℓ2 norm
-/// (Section III-B); the alternatives quantify that choice in ablations.
-enum class ImportanceCriterion {
-  kL2,      // the paper's criterion
-  kL1,      // sum of magnitudes
-  kRandom,  // control: importance-blind pruning
-};
-
 /// Non-owning handle over every BCM-compressed layer of a model. The
 /// pruner treats all blocks of all layers as one global pool, exactly as
 /// Algorithm 1's single norm_list does.
@@ -61,11 +53,6 @@ class BcmLayerSet {
 
   /// Concatenated ℓ2 importance norms across layers (Algorithm 1, l.3-5).
   std::vector<double> norm_list() const;
-
-  /// Importance list under an alternative criterion (ablations). kL2
-  /// matches norm_list(); kRandom draws from the supplied seed.
-  std::vector<double> importance_list(ImportanceCriterion criterion,
-                                      std::uint64_t seed = 0) const;
 
   /// Prunes every block whose norm (from `norms`, aligned with
   /// norm_list()) is <= threshold. Returns how many blocks are now pruned.

@@ -22,7 +22,6 @@ namespace {
 using Kind = SerializationError::Kind;
 
 constexpr char kCheckpointMagic[8] = {'R', 'P', 'B', 'C', 'M', 'C', 'K', '1'};
-constexpr char kWeightsMagic[8] = {'R', 'P', 'B', 'C', 'M', 'F', 'W', '1'};
 
 [[noreturn]] void fail(Kind kind, std::uint64_t offset, const std::string& msg) {
   std::ostringstream os;
@@ -50,8 +49,8 @@ class Fnv1a {
 
 // Checked writer: every stream operation is verified and failures surface
 // as SerializationError{kIo} with the offset of the failing field. The
-// fault site ("core.ckpt.write" / "core.fweights.write") lets chaos runs
-// simulate an EIO mid-stream at a deterministic byte.
+// fault site ("core.ckpt.write") lets chaos runs simulate an EIO mid-stream
+// at a deterministic byte.
 class Writer {
  public:
   Writer(std::ostream& os, const char* fault_site)
@@ -69,7 +68,6 @@ class Writer {
   }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void f32(float v) { raw(&v, sizeof v); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     raw(s.data(), s.size());
@@ -115,11 +113,6 @@ class Reader {
   }
   std::uint64_t u64() {
     std::uint64_t v = 0;
-    raw(&v, sizeof v);
-    return v;
-  }
-  float f32() {
-    float v = 0;
     raw(&v, sizeof v);
     return v;
   }
@@ -402,98 +395,6 @@ void load_checkpoint(nn::Sequential& model, const std::string& path) {
   if (!is.is_open())
     fail(Kind::kIo, 0, "cannot open " + path);
   load_checkpoint(model, is);
-}
-
-void save_frequency_weights(const FrequencyLayerWeights& fw,
-                            std::ostream& os) {
-  Writer w(os, "core.fweights.write");
-  w.raw(kWeightsMagic, sizeof kWeightsMagic);
-  w.u64(fw.layout.kernel);
-  w.u64(fw.layout.in_channels);
-  w.u64(fw.layout.out_channels);
-  w.u64(fw.layout.block_size);
-  RPBCM_CHECK(fw.skip_index.size() == fw.layout.total_blocks());
-  w.raw(fw.skip_index.data(), fw.skip_index.size());
-  const std::size_t half = fw.layout.block_size / 2 + 1;
-  RPBCM_CHECK_MSG(
-      fw.spec_re.size() == fw.layout.total_blocks() * half &&
-          fw.spec_im.size() == fw.layout.total_blocks() * half,
-      "frequency-weight planes not sized to total_blocks * half_bins");
-  for (std::size_t b = 0; b < fw.skip_index.size(); ++b) {
-    if (!fw.skip_index[b]) continue;
-    const float* re = fw.block_re(b);
-    const float* im = fw.block_im(b);
-    for (std::size_t k = 0; k < half; ++k) {
-      w.f32(re[k]);
-      w.f32(im[k]);
-    }
-  }
-  w.finish();
-}
-
-FrequencyLayerWeights load_frequency_weights(std::istream& is) {
-  Reader r(is);
-  char magic[8];
-  r.raw(magic, sizeof magic);
-  if (std::memcmp(magic, kWeightsMagic, 8) != 0)
-    fail(Kind::kBadMagic, 0, "not an RP-BCM frequency-weight blob");
-  const auto header_at = r.offset();
-  const auto kernel = r.u64();
-  const auto cin = r.u64();
-  const auto cout = r.u64();
-  const auto bs = r.u64();
-  // Plausibility caps before any allocation: a corrupt header must fail
-  // fast with kFormat, not attempt a multi-gigabyte resize.
-  constexpr std::uint64_t kMaxBlockSize = 1u << 16;
-  constexpr std::uint64_t kMaxPlaneFloats = 1u << 28;  // 1 GiB of f32
-  if (kernel == 0 || cin == 0 || cout == 0 || bs < 2 || bs > kMaxBlockSize)
-    fail(Kind::kFormat, header_at,
-         "implausible frequency-weight header: kernel=" +
-             std::to_string(kernel) + " cin=" + std::to_string(cin) +
-             " cout=" + std::to_string(cout) + " bs=" + std::to_string(bs));
-  FrequencyLayerWeights fw;
-  try {
-    fw.layout = BcmLayout(kernel, cin, cout, bs);
-  } catch (const SerializationError&) {
-    throw;
-  } catch (const CheckError& e) {
-    fail(Kind::kFormat, header_at,
-         std::string("invalid frequency-weight layout: ") + e.what());
-  }
-  const std::size_t half = bs / 2 + 1;
-  if (fw.layout.total_blocks() > kMaxPlaneFloats / half)
-    fail(Kind::kFormat, header_at,
-         "implausible frequency-weight header: " +
-             std::to_string(fw.layout.total_blocks()) + " blocks");
-  fw.skip_index.resize(fw.layout.total_blocks());
-  r.raw(fw.skip_index.data(), fw.skip_index.size());
-  fw.spec_re.assign(fw.layout.total_blocks() * half, 0.0F);
-  fw.spec_im.assign(fw.layout.total_blocks() * half, 0.0F);
-  for (std::size_t b = 0; b < fw.skip_index.size(); ++b) {
-    if (!fw.skip_index[b]) continue;
-    float* re = fw.block_re(b);
-    float* im = fw.block_im(b);
-    for (std::size_t k = 0; k < half; ++k) {
-      re[k] = r.f32();
-      im[k] = r.f32();
-    }
-  }
-  r.verify_checksum();
-  return fw;
-}
-
-void save_frequency_weights(const FrequencyLayerWeights& fw,
-                            const std::string& path) {
-  atomic_save(path, "core.fweights.rename", [&fw](std::ostream& os) {
-    save_frequency_weights(fw, os);
-  });
-}
-
-FrequencyLayerWeights load_frequency_weights(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.is_open())
-    fail(Kind::kIo, 0, "cannot open " + path);
-  return load_frequency_weights(is);
 }
 
 }  // namespace rpbcm::core

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "base/check.hpp"
-#include "core/frequency_weights.hpp"
 #include "nn/sequential.hpp"
 
 namespace rpbcm::core {
@@ -67,24 +66,5 @@ void load_checkpoint(nn::Sequential& model, const std::string& path);
 
 void save_checkpoint(nn::Sequential& model, std::ostream& os);
 void load_checkpoint(nn::Sequential& model, std::istream& is);
-
-/// Deployment blob of one BCM-compressed layer: the layout, the skip index
-/// and the surviving half-spectra — exactly what the accelerator's weight
-/// loader consumes. Format:
-///   magic "RPBCMFW1" | u64 kernel,cin,cout,bs | skip bytes | per
-///   surviving block: f32 re,im x (BS/2+1) | u64 checksum
-///
-/// Same failure contracts as the checkpoint functions; the path-overload
-/// save is crash-atomic (fault sites core.fweights.write /
-/// core.fweights.rename) and the load validates the header for
-/// plausibility before allocating anything, so a corrupt header cannot
-/// trigger a multi-gigabyte allocation.
-void save_frequency_weights(const FrequencyLayerWeights& fw,
-                            const std::string& path);
-FrequencyLayerWeights load_frequency_weights(const std::string& path);
-
-void save_frequency_weights(const FrequencyLayerWeights& fw,
-                            std::ostream& os);
-FrequencyLayerWeights load_frequency_weights(std::istream& is);
 
 }  // namespace rpbcm::core

@@ -1,6 +1,5 @@
 #include "hw/report_io.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <string>
@@ -45,29 +44,6 @@ void write_layer_csv(const AcceleratorReport& report, std::ostream& os) {
   RPBCM_CHECK_MSG(os.good(), "CSV write failed");
 }
 
-void write_summary_markdown(const AcceleratorReport& report,
-                            std::ostream& os) {
-  os << "| network | cycles | latency (ms) | FPS | kLUT | DSP | BRAM36 | "
-        "power (W) | FPS/kLUT | FPS/DSP | FPS/W |\n";
-  os << "|---|---|---|---|---|---|---|---|---|---|---|\n";
-  char buf[512];
-  const int n = std::snprintf(
-      buf, sizeof buf,
-      "| %s | %llu | %.2f | %.2f | %.1f | %zu | %.1f | %.2f | "
-      "%.2f | %.3f | %.2f |\n",
-      report.network.c_str(),
-      static_cast<unsigned long long>(report.total_cycles),
-      report.latency_ms, report.fps, report.resources.kilo_luts,
-      report.resources.dsps, report.resources.bram36,
-      report.power.total_w(), report.fps_per_klut(),
-      report.fps_per_dsp(), report.fps_per_watt());
-  RPBCM_CHECK_MSG(n >= 0 && static_cast<std::size_t>(n) < sizeof buf,
-                  "markdown row truncated (network name too long: "
-                      << report.network.size() << " chars)");
-  os << buf;
-  RPBCM_CHECK_MSG(os.good(), "markdown write failed");
-}
-
 void export_report_metrics(const AcceleratorReport& report,
                            obs::Registry& registry) {
   registry.gauge("rpbcm.hw.report.total_cycles")
@@ -90,35 +66,11 @@ void export_report_metrics(const AcceleratorReport& report,
   }
 }
 
-void write_metrics_json(const obs::RegistrySnapshot& snapshot,
-                        std::ostream& os) {
-  snapshot.write_json(os);
-  RPBCM_CHECK_MSG(os.good(), "metrics write failed");
-}
-
 void write_layer_csv(const AcceleratorReport& report,
                      const std::string& path) {
   std::ofstream os(path);
   RPBCM_CHECK_MSG(os.is_open(), "cannot open " << path);
   write_layer_csv(report, os);
-  os.flush();
-  RPBCM_CHECK_MSG(os.good(), "flush of " << path << " failed");
-}
-
-void write_summary_markdown(const AcceleratorReport& report,
-                            const std::string& path) {
-  std::ofstream os(path);
-  RPBCM_CHECK_MSG(os.is_open(), "cannot open " << path);
-  write_summary_markdown(report, os);
-  os.flush();
-  RPBCM_CHECK_MSG(os.good(), "flush of " << path << " failed");
-}
-
-void write_metrics_json(const obs::RegistrySnapshot& snapshot,
-                        const std::string& path) {
-  std::ofstream os(path);
-  RPBCM_CHECK_MSG(os.is_open(), "cannot open " << path);
-  write_metrics_json(snapshot, os);
   os.flush();
   RPBCM_CHECK_MSG(os.good(), "flush of " << path << " failed");
 }

@@ -14,12 +14,6 @@ namespace rpbcm::hw {
 /// quotes or newlines) plus a trailing "total" row.
 void write_layer_csv(const AcceleratorReport& report, std::ostream& os);
 
-/// Writes the headline metrics (cycles, FPS, resources, power,
-/// efficiency) as a GitHub-flavored markdown table — the format used by
-/// EXPERIMENTS.md.
-void write_summary_markdown(const AcceleratorReport& report,
-                            std::ostream& os);
-
 /// Records the report's headline numbers and per-stream busy/stall
 /// breakdown into `registry` under `rpbcm.hw.report.*`, so accelerator
 /// results flow through the same metrics pipeline as trainer / pruning
@@ -27,17 +21,8 @@ void write_summary_markdown(const AcceleratorReport& report,
 void export_report_metrics(const AcceleratorReport& report,
                            obs::Registry& registry);
 
-/// Writes a registry snapshot as JSON — the single code path every
-/// `--metrics-out=` exporter funnels through.
-void write_metrics_json(const obs::RegistrySnapshot& snapshot,
-                        std::ostream& os);
-
-/// Convenience file-path overloads.
+/// Convenience file-path overload.
 void write_layer_csv(const AcceleratorReport& report,
                      const std::string& path);
-void write_summary_markdown(const AcceleratorReport& report,
-                            const std::string& path);
-void write_metrics_json(const obs::RegistrySnapshot& snapshot,
-                        const std::string& path);
 
 }  // namespace rpbcm::hw

@@ -79,17 +79,4 @@ Tensor GlobalAvgPool::backward(const Tensor& gy) {
   return gx;
 }
 
-Tensor Flatten::forward(const Tensor& x, bool /*train*/) {
-  RPBCM_CHECK_MSG(x.rank() >= 2, "flatten needs rank >= 2");
-  in_shape_ = x.shape();
-  std::size_t feat = 1;
-  for (std::size_t i = 1; i < x.rank(); ++i) feat *= x.dim(i);
-  return x.reshaped({x.dim(0), feat});
-}
-
-Tensor Flatten::backward(const Tensor& gy) {
-  RPBCM_CHECK_MSG(!in_shape_.empty(), "backward before forward");
-  return gy.reshaped(in_shape_);
-}
-
 }  // namespace rpbcm::nn

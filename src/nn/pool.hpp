@@ -30,15 +30,4 @@ class GlobalAvgPool : public Layer {
   std::vector<std::size_t> in_shape_;
 };
 
-/// Flattens NCHW to [N, C*H*W].
-class Flatten : public Layer {
- public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& gy) override;
-  std::string name() const override { return "Flatten"; }
-
- private:
-  std::vector<std::size_t> in_shape_;
-};
-
 }  // namespace rpbcm::nn

@@ -38,13 +38,6 @@ std::size_t Sequential::deployed_param_count() {
   return n;
 }
 
-LayerPtr Sequential::replace(std::size_t i, LayerPtr layer) {
-  RPBCM_CHECK(i < layers_.size() && layer != nullptr);
-  LayerPtr old = std::move(layers_[i]);
-  layers_[i] = std::move(layer);
-  return old;
-}
-
 void Sequential::visit(const std::function<void(Layer&)>& fn) {
   for (auto& l : layers_) {
     fn(*l);

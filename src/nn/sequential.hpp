@@ -13,8 +13,7 @@ class Sequential : public Layer {
  public:
   Sequential() = default;
 
-  /// Appends a layer and returns a non-owning pointer for later inspection
-  /// (e.g. to find the convs a compressor should replace).
+  /// Appends a layer and returns a non-owning pointer for later inspection.
   Layer* add(LayerPtr layer);
 
   template <typename L, typename... Args>
@@ -36,10 +35,6 @@ class Sequential : public Layer {
     RPBCM_CHECK(i < layers_.size());
     return *layers_[i];
   }
-
-  /// Replaces the layer at index i (used by the compressor to swap dense
-  /// convolutions for BCM-compressed ones). Returns the old layer.
-  LayerPtr replace(std::size_t i, LayerPtr layer);
 
   /// Depth-first visit over all layers, descending into nested containers.
   void visit(const std::function<void(Layer&)>& fn);

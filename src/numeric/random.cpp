@@ -1,7 +1,5 @@
 #include "numeric/random.hpp"
 
-#include <algorithm>
-
 namespace rpbcm::numeric {
 
 std::vector<float> Rng::gaussian_vector(std::size_t n, float mean,
@@ -10,10 +8,6 @@ std::vector<float> Rng::gaussian_vector(std::size_t n, float mean,
   std::normal_distribution<float> d(mean, stddev);
   for (auto& x : v) x = d(engine_);
   return v;
-}
-
-void Rng::shuffle(std::vector<std::size_t>& idx) {
-  std::shuffle(idx.begin(), idx.end(), engine_);
 }
 
 }  // namespace rpbcm::numeric

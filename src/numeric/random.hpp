@@ -40,9 +40,6 @@ class Rng {
   std::vector<float> gaussian_vector(std::size_t n, float mean = 0.0F,
                                      float stddev = 1.0F);
 
-  /// In-place Fisher-Yates shuffle of an index permutation.
-  void shuffle(std::vector<std::size_t>& idx);
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

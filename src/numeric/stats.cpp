@@ -25,12 +25,6 @@ double stddev(std::span<const float> v) {
   return std::sqrt(s / static_cast<double>(v.size()));
 }
 
-double l2_norm(std::span<const float> v) {
-  double s = 0.0;
-  for (float x : v) s += static_cast<double>(x) * static_cast<double>(x);
-  return std::sqrt(s);
-}
-
 double min_value(std::span<const float> v) {
   RPBCM_CHECK(!v.empty());
   return *std::min_element(v.begin(), v.end());
@@ -97,19 +91,6 @@ double log_decay_slope(std::span<const float> sv, double floor) {
   const double denom = static_cast<double>(n) * sxx - sx * sx;
   if (denom == 0.0) return 0.0;
   return (static_cast<double>(n) * sxy - sx * sy) / denom;
-}
-
-std::vector<std::size_t> histogram(std::span<const float> v, double lo,
-                                   double hi, std::size_t bins) {
-  RPBCM_CHECK(bins > 0 && hi > lo);
-  std::vector<std::size_t> h(bins, 0);
-  const double w = (hi - lo) / static_cast<double>(bins);
-  for (float x : v) {
-    auto b = static_cast<long>((static_cast<double>(x) - lo) / w);
-    b = std::clamp<long>(b, 0, static_cast<long>(bins) - 1);
-    ++h[static_cast<std::size_t>(b)];
-  }
-  return h;
 }
 
 }  // namespace rpbcm::numeric

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -11,9 +10,6 @@ double mean(std::span<const float> v);
 
 /// Population standard deviation; 0 for fewer than two samples.
 double stddev(std::span<const float> v);
-
-/// Euclidean norm. Used as the BCM importance criterion (Section III-B).
-double l2_norm(std::span<const float> v);
 
 double min_value(std::span<const float> v);
 double max_value(std::span<const float> v);
@@ -37,10 +33,5 @@ double effective_rank(std::span<const float> sv);
 /// `floor` (relative). More negative = faster (more exponential) decay;
 /// used to summarise decay curves quantitatively.
 double log_decay_slope(std::span<const float> sv, double floor = 1e-7);
-
-/// Simple fixed-width histogram over [lo, hi] with `bins` buckets; samples
-/// outside the range clamp to the boundary buckets.
-std::vector<std::size_t> histogram(std::span<const float> v, double lo,
-                                   double hi, std::size_t bins);
 
 }  // namespace rpbcm::numeric

@@ -145,26 +145,6 @@ BucketHistogram::Snapshot BucketHistogram::snapshot() const {
   return snap;
 }
 
-void BucketHistogram::Snapshot::merge(const Snapshot& other) {
-  if (other.counts.empty()) {
-    // Merging a default-constructed (never-snapshotted) value: only the
-    // scalar fields can carry data, and they are all zero/NaN-empty.
-    rejected += other.rejected;
-    return;
-  }
-  if (counts.empty()) counts.assign(other.counts.size(), 0);
-  RPBCM_CHECK(counts.size() == other.counts.size());
-  for (std::size_t b = 0; b < counts.size(); ++b) counts[b] += other.counts[b];
-  const bool was_empty = count == 0;
-  count += other.count;
-  rejected += other.rejected;
-  sum += other.sum;
-  if (other.count > 0) {
-    min = was_empty ? other.min : std::min(min, other.min);
-    max = was_empty ? other.max : std::max(max, other.max);
-  }
-}
-
 double BucketHistogram::Snapshot::percentile(double p) const {
   if (count == 0) return kNaN;
   p = std::clamp(p, 0.0, 100.0);

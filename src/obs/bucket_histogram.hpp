@@ -53,10 +53,7 @@ namespace rpbcm::obs {
 /// costs a few hundred bytes and a fully-hammered one
 /// O(kShards * kNumBuckets) — bounded regardless of sample count.
 ///
-/// snapshot() merges the shards into a plain Snapshot; Snapshot::merge
-/// makes cross-process / cross-registry aggregation associative and
-/// commutative (counts are integers; sum is FP-additive, so merged sums
-/// agree up to FP rounding order).
+/// snapshot() merges the shards into a plain Snapshot.
 class BucketHistogram final : public Histogram {
  public:
   static constexpr int kMinExp = -30;
@@ -78,8 +75,8 @@ class BucketHistogram final : public Histogram {
   /// Exclusive upper bound of bucket `idx` (+inf for overflow).
   static double bucket_upper(std::size_t idx);
 
-  /// Mergeable point-in-time copy. Plain data: safe to ship across
-  /// threads, serialize, or aggregate.
+  /// Point-in-time copy. Plain data: safe to ship across threads or
+  /// serialize.
   struct Snapshot {
     std::vector<std::uint64_t> counts;  // size kNumBuckets (empty() == {})
     std::uint64_t count = 0;
@@ -87,11 +84,6 @@ class BucketHistogram final : public Histogram {
     double sum = 0.0;
     double min = 0.0;  // NaN when count == 0
     double max = 0.0;  // NaN when count == 0
-
-    /// Element-wise accumulate `other` into this snapshot. Associative and
-    /// commutative in counts/min/max; sum is FP addition (exact for
-    /// integer-valued sums).
-    void merge(const Snapshot& other);
 
     /// Nearest-rank percentile estimate (see class comment for the error
     /// bound). NaN when empty.

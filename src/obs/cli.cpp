@@ -1,5 +1,6 @@
 #include "obs/cli.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,7 +29,8 @@ bool take_int_flag(std::string_view arg, std::string_view prefix, int* out) {
   if (!take_flag(arg, prefix, &text)) return false;
   char* end = nullptr;
   const long v = std::strtol(text.c_str(), &end, 10);
-  RPBCM_CHECK_MSG(end != text.c_str() && *end == '\0' && v > 0,
+  RPBCM_CHECK_MSG(end != text.c_str() && *end == '\0' && v > 0 &&
+                      v <= INT_MAX,
                   "bad value for " << std::string(prefix) << ": " << text);
   *out = static_cast<int>(v);
   return true;

@@ -42,14 +42,6 @@ Logger& Logger::global() {
   return *instance;
 }
 
-void Logger::set_min_level(LogLevel level) {
-  min_level_.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel Logger::min_level() const {
-  return static_cast<LogLevel>(min_level_.load(std::memory_order_relaxed));
-}
-
 void Logger::set_max_per_second(std::uint32_t n) {
   max_per_second_.store(n, std::memory_order_relaxed);
 }
@@ -81,9 +73,7 @@ std::uint64_t Logger::lines_written() const {
   return lines_.load(std::memory_order_relaxed);
 }
 
-bool Logger::should_log(LogLevel level, LogSite& site) {
-  if (static_cast<int>(level) < min_level_.load(std::memory_order_relaxed))
-    return false;
+bool Logger::should_log(LogSite& site) {
   const std::uint32_t limit = max_per_second_.load(std::memory_order_relaxed);
   if (limit == 0) return true;
   const std::int64_t now = steady_micros();

@@ -29,8 +29,8 @@ struct LogSite {
 /// Minimal structured leveled logger (the RPBCM_LOG_{INFO,WARN,ERROR}
 /// macros), replacing ad-hoc stderr prints in library code.
 ///
-///  - Thread-safe: sink writes are serialized by a mutex; filtering and
-///    rate limiting are lock-free, so suppressed calls never contend.
+///  - Thread-safe: sink writes are serialized by a mutex; rate limiting is
+///    lock-free, so suppressed calls never contend.
 ///  - Rate-limited per callsite: at most max_per_second() lines per site
 ///    per one-second window; the first line of the next window reports how
 ///    many were suppressed.
@@ -45,10 +45,6 @@ class Logger {
  public:
   static Logger& global();
 
-  /// Messages below `level` are dropped (not counted as suppressed).
-  void set_min_level(LogLevel level);
-  LogLevel min_level() const;
-
   /// Per-site rate limit; 0 disables limiting. Default 50.
   void set_max_per_second(std::uint32_t n);
   std::uint32_t max_per_second() const;
@@ -62,9 +58,9 @@ class Logger {
   /// Lines written to the active sink since process start.
   std::uint64_t lines_written() const;
 
-  /// Filter + rate-limit decision; cheap and lock-free. True means the
-  /// caller should format the message and call write().
-  bool should_log(LogLevel level, LogSite& site);
+  /// Rate-limit decision; cheap and lock-free. True means the caller
+  /// should format the message and call write().
+  bool should_log(LogSite& site);
 
   /// Formats and emits one record. Called via the macros after should_log.
   void write(LogLevel level, std::string_view area, std::string_view msg,
@@ -73,7 +69,6 @@ class Logger {
  private:
   Logger() = default;
 
-  std::atomic<int> min_level_{static_cast<int>(LogLevel::kInfo)};
   std::atomic<std::uint32_t> max_per_second_{50};
   std::atomic<std::uint64_t> lines_{0};
 
@@ -92,7 +87,7 @@ class Logger {
   do {                                                                       \
     static ::rpbcm::obs::LogSite rpbcm_log_site_{__FILE__, __LINE__, {}, {}, \
                                                  {}};                        \
-    if (::rpbcm::obs::Logger::global().should_log(level, rpbcm_log_site_)) { \
+    if (::rpbcm::obs::Logger::global().should_log(rpbcm_log_site_)) {        \
       std::ostringstream rpbcm_log_os_;                                      \
       rpbcm_log_os_ << msg;                                                  \
       ::rpbcm::obs::Logger::global().write(level, area, rpbcm_log_os_.str(), \

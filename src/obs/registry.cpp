@@ -241,12 +241,6 @@ RegistrySnapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::write_json(std::ostream& os) const { snapshot().write_json(os); }
-
-void Registry::write_markdown(std::ostream& os) const {
-  snapshot().write_markdown(os);
-}
-
 void Registry::clear() {
   base::MutexLock lock(mu_);
   counters_.clear();

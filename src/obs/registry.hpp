@@ -98,8 +98,6 @@ class Registry {
   Histogram& histogram(std::string_view name) RPBCM_EXCLUDES(mu_);
 
   RegistrySnapshot snapshot() const RPBCM_EXCLUDES(mu_);
-  void write_json(std::ostream& os) const;
-  void write_markdown(std::ostream& os) const;
 
   /// Drops every metric (tests / repeated runs in one process). Invalidates
   /// all outstanding handles.

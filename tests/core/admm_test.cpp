@@ -140,23 +140,5 @@ TEST(AdmmTest, HardProjectionZeroesViolation) {
   EXPECT_LT(admm.constraint_violation(), 1e-6);
 }
 
-TEST(AdmmTest, ProjectedModelConvertsToBcm) {
-  // After project_hard, from_dense must reproduce the weights exactly —
-  // the deployment path from ADMM training into the BCM machinery.
-  auto model = dense_model();
-  AdmmCirculantRegularizer admm(*model, 4, 0.05F);
-  admm.project_hard();
-  model->visit([](nn::Layer& l) {
-    auto* conv = dynamic_cast<nn::Conv2d*>(&l);
-    if (!conv) return;
-    const auto& s = conv->spec();
-    if (s.in_channels % 4 != 0 || s.out_channels % 4 != 0) return;
-    auto bcm = BcmConv2d::from_dense(*conv, 4, BcmParameterization::kPlain);
-    EXPECT_LT(testutil::max_abs_diff(bcm->dense_weights(),
-                                     conv->weight().value),
-              1e-5);
-  });
-}
-
 }  // namespace
 }  // namespace rpbcm::core

@@ -165,18 +165,6 @@ TEST(BcmConvTest, SnapshotRestoreRoundTrip) {
     EXPECT_DOUBLE_EQ(norms_before[i], norms_after[i]);
 }
 
-TEST(BcmConvTest, FromDenseProjectionIsLeastSquares) {
-  // Projecting an exactly-circulant dense weight recovers it exactly.
-  numeric::Rng rng(16);
-  BcmConv2d src(spec(8, 8), 8, BcmParameterization::kPlain, rng);
-  const auto dense_w = src.dense_weights();
-  nn::Conv2d dense(spec(8, 8), rng);
-  dense.weight().value = dense_w;
-  const auto projected =
-      BcmConv2d::from_dense(dense, 8, BcmParameterization::kPlain);
-  EXPECT_LT(max_abs_diff(projected->dense_weights(), dense_w), 1e-5);
-}
-
 TEST(BcmConvTest, IndivisibleChannelsRejected) {
   numeric::Rng rng(17);
   EXPECT_THROW(BcmConv2d(spec(6, 8), 8, BcmParameterization::kPlain, rng),

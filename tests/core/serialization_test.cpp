@@ -89,67 +89,5 @@ TEST(CheckpointTest, WrongMagicRejected) {
   EXPECT_THROW(load_checkpoint(*b, buf), rpbcm::CheckError);
 }
 
-TEST(FrequencyWeightsIoTest, RoundTrip) {
-  numeric::Rng rng(5);
-  nn::ConvSpec spec;
-  spec.in_channels = 8;
-  spec.out_channels = 16;
-  spec.kernel = 3;
-  spec.stride = 1;
-  spec.pad = 1;
-  BcmConv2d layer(spec, 8, BcmParameterization::kHadamard, rng);
-  layer.prune_block(1);
-  layer.prune_block(7);
-  const auto fw = export_frequency_weights(layer);
-
-  std::stringstream buf;
-  save_frequency_weights(fw, buf);
-  const auto loaded = load_frequency_weights(buf);
-
-  EXPECT_EQ(loaded.layout.total_blocks(), fw.layout.total_blocks());
-  EXPECT_EQ(loaded.layout.block_size, fw.layout.block_size);
-  EXPECT_EQ(loaded.skip_index, fw.skip_index);
-  ASSERT_EQ(loaded.spec_re.size(), fw.spec_re.size());
-  ASSERT_EQ(loaded.spec_im.size(), fw.spec_im.size());
-  for (std::size_t k = 0; k < fw.spec_re.size(); ++k) {
-    EXPECT_EQ(loaded.spec_re[k], fw.spec_re[k]);
-    EXPECT_EQ(loaded.spec_im[k], fw.spec_im[k]);
-  }
-}
-
-TEST(FrequencyWeightsIoTest, FileRoundTrip) {
-  numeric::Rng rng(6);
-  nn::ConvSpec spec;
-  spec.in_channels = 8;
-  spec.out_channels = 8;
-  spec.kernel = 1;
-  spec.stride = 1;
-  spec.pad = 0;
-  BcmConv2d layer(spec, 8, BcmParameterization::kPlain, rng);
-  const auto fw = export_frequency_weights(layer);
-  const std::string path = "/tmp/rpbcm_fw_test.bin";
-  save_frequency_weights(fw, path);
-  const auto loaded = load_frequency_weights(path);
-  EXPECT_EQ(loaded.skip_index, fw.skip_index);
-  EXPECT_EQ(loaded.weight_words(), fw.weight_words());
-}
-
-TEST(FrequencyWeightsIoTest, CorruptionDetected) {
-  numeric::Rng rng(7);
-  nn::ConvSpec spec;
-  spec.in_channels = 8;
-  spec.out_channels = 8;
-  spec.kernel = 1;
-  spec.stride = 1;
-  spec.pad = 0;
-  BcmConv2d layer(spec, 8, BcmParameterization::kPlain, rng);
-  std::stringstream buf;
-  save_frequency_weights(export_frequency_weights(layer), buf);
-  std::string data = buf.str();
-  data[data.size() - 12] ^= 0x01;
-  std::stringstream corrupted(data);
-  EXPECT_THROW(load_frequency_weights(corrupted), rpbcm::CheckError);
-}
-
 }  // namespace
 }  // namespace rpbcm::core

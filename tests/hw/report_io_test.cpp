@@ -52,18 +52,6 @@ TEST(ReportIoTest, CsvTotalRowSumsLayers) {
   EXPECT_EQ(last_field, sum_total);
 }
 
-TEST(ReportIoTest, MarkdownContainsHeadlineNumbers) {
-  const auto report = sample_report();
-  std::stringstream ss;
-  write_summary_markdown(report, ss);
-  const std::string md = ss.str();
-  EXPECT_NE(md.find("ResNet-18"), std::string::npos);
-  EXPECT_NE(md.find("| network |"), std::string::npos);
-  char fps[32];
-  std::snprintf(fps, sizeof fps, "%.2f", report.fps);
-  EXPECT_NE(md.find(fps), std::string::npos);
-}
-
 // Splits one CSV line into fields honoring RFC-4180 quoting.
 std::vector<std::string> split_csv(const std::string& line) {
   std::vector<std::string> fields;
@@ -157,7 +145,7 @@ TEST(ReportIoTest, ExportReportMetricsAndJson) {
             nullptr);
 
   std::stringstream ss;
-  write_metrics_json(snap, ss);
+  snap.write_json(ss);
   const auto doc = testjson::parse(ss.str());
   EXPECT_GE(doc.at("metrics").arr().size(), 4u + 6u * 4u);
 }
@@ -179,7 +167,6 @@ TEST(ReportIoTest, StreamStatsAggregateAcrossLayers) {
 TEST(ReportIoTest, FileOverloadsWrite) {
   const auto report = sample_report();
   write_layer_csv(report, "/tmp/rpbcm_layers.csv");
-  write_summary_markdown(report, "/tmp/rpbcm_summary.md");
   std::ifstream csv("/tmp/rpbcm_layers.csv");
   EXPECT_TRUE(csv.good());
   std::string header;

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
-
 namespace rpbcm::numeric {
 namespace {
 
@@ -50,17 +47,6 @@ TEST(RngTest, BernoulliProbability) {
   for (int i = 0; i < 10000; ++i)
     if (rng.bernoulli(0.3)) ++hits;
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.03);
-}
-
-TEST(RngTest, ShuffleIsPermutation) {
-  Rng rng(8);
-  std::vector<std::size_t> idx(50);
-  std::iota(idx.begin(), idx.end(), 0);
-  auto copy = idx;
-  rng.shuffle(idx);
-  EXPECT_NE(idx, copy);  // astronomically unlikely to be identity
-  std::sort(idx.begin(), idx.end());
-  EXPECT_EQ(idx, copy);
 }
 
 }  // namespace

@@ -18,12 +18,6 @@ TEST(StatsTest, MeanAndStddev) {
   EXPECT_EQ(stddev(std::vector<float>{2.0F}), 0.0);
 }
 
-TEST(StatsTest, L2Norm) {
-  const std::vector<float> v{3.0F, 4.0F};
-  EXPECT_NEAR(l2_norm(v), 5.0, 1e-9);
-  EXPECT_EQ(l2_norm(std::vector<float>{}), 0.0);
-}
-
 TEST(StatsTest, MinMax) {
   const std::vector<float> v{3.0F, -1.0F, 7.0F};
   EXPECT_EQ(min_value(v), -1.0);
@@ -92,14 +86,6 @@ TEST(DecaySlopeTest, ExponentialDecayDetected) {
 TEST(DecaySlopeTest, FlatSpectrumHasZeroSlope) {
   const std::vector<float> sv(10, 2.0F);
   EXPECT_NEAR(log_decay_slope(sv), 0.0, 1e-9);
-}
-
-TEST(HistogramTest, BasicBinningAndClamping) {
-  const std::vector<float> v{0.1F, 0.2F, 0.9F, -5.0F, 5.0F};
-  const auto h = histogram(v, 0.0, 1.0, 2);
-  ASSERT_EQ(h.size(), 2u);
-  EXPECT_EQ(h[0], 3u);  // 0.1, 0.2 and clamped -5
-  EXPECT_EQ(h[1], 2u);  // 0.9 and clamped 5
 }
 
 TEST(StatsTest, GaussianSampleMoments) {

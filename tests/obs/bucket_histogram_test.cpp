@@ -130,46 +130,6 @@ TEST(BucketHistogramTest, PercentileErrorBoundVsExact) {
   }
 }
 
-TEST(BucketHistogramTest, SnapshotMergeIsAssociativeAndCommutative) {
-  // Integer-valued samples make the FP sums exact, so the comparison can
-  // be bitwise across merge orders.
-  auto fill = [](BucketHistogram& h, int seed, int n) {
-    std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
-    std::uniform_int_distribution<int> dist(1, 4096);
-    for (int i = 0; i < n; ++i) h.record(static_cast<double>(dist(rng)));
-  };
-  BucketHistogram ha, hb, hc;
-  fill(ha, 1, 400);
-  fill(hb, 2, 700);
-  fill(hc, 3, 100);
-  const auto a = ha.snapshot(), b = hb.snapshot(), c = hc.snapshot();
-
-  auto merged = [](BucketHistogram::Snapshot x,
-                   const BucketHistogram::Snapshot& y) {
-    x.merge(y);
-    return x;
-  };
-  const auto ab_c = merged(merged(a, b), c);
-  const auto a_bc = merged(a, merged(b, c));
-  const auto cba = merged(merged(c, b), a);
-
-  for (const auto* other : {&a_bc, &cba}) {
-    EXPECT_EQ(ab_c.count, other->count);
-    EXPECT_EQ(ab_c.counts, other->counts);
-    EXPECT_DOUBLE_EQ(ab_c.sum, other->sum);
-    EXPECT_DOUBLE_EQ(ab_c.min, other->min);
-    EXPECT_DOUBLE_EQ(ab_c.max, other->max);
-    for (double p : {50.0, 90.0, 99.0})
-      EXPECT_DOUBLE_EQ(ab_c.percentile(p), other->percentile(p)) << p;
-  }
-  EXPECT_EQ(ab_c.count, 1200u);
-
-  // Merging an empty snapshot is the identity.
-  const auto with_empty = merged(ab_c, BucketHistogram().snapshot());
-  EXPECT_EQ(with_empty.count, ab_c.count);
-  EXPECT_DOUBLE_EQ(with_empty.min, ab_c.min);
-}
-
 TEST(BucketHistogramTest, ShardedRecordingCountsEverySample) {
   BucketHistogram h;
   constexpr int kThreads = 8;

@@ -37,7 +37,6 @@ class LogTest : public ::testing::Test {
  protected:
   void TearDown() override {
     Logger::global().close_sink();
-    Logger::global().set_min_level(LogLevel::kInfo);
     Logger::global().set_max_per_second(50);
   }
 };
@@ -58,21 +57,6 @@ TEST_F(LogTest, JsonSinkEmitsParseableStructuredLines) {
   EXPECT_TRUE(lines[0].has("file"));
   EXPECT_GT(lines[0].at("line").num(), 0.0);
   EXPECT_EQ(lines[1].at("level").str(), "warn");
-}
-
-TEST_F(LogTest, MinLevelFiltersBelow) {
-  const std::string path = unique_path("level");
-  Logger::global().set_json_sink(path);
-  Logger::global().set_min_level(LogLevel::kError);
-  RPBCM_LOG_INFO("test", "dropped");
-  RPBCM_LOG_WARN("test", "dropped too");
-  RPBCM_LOG_ERROR("test", "kept");
-  Logger::global().close_sink();
-
-  const auto lines = read_jsonl(path);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0].at("level").str(), "error");
-  EXPECT_EQ(lines[0].at("msg").str(), "kept");
 }
 
 // One fixed callsite shared across calls, so the per-site limiter state is

@@ -173,7 +173,7 @@ TEST(RegistryTest, JsonEscapesAwkwardNames) {
          "rpbcm.weird.\"quoted\",name\\path")
       .add(1);
   std::stringstream ss;
-  reg.write_json(ss);
+  reg.snapshot().write_json(ss);
   const auto doc = testjson::parse(ss.str());
   EXPECT_EQ(doc.at("metrics").arr()[0].at("name").str(),
             "rpbcm.weird.\"quoted\",name\\path");
@@ -184,7 +184,7 @@ TEST(RegistryTest, MarkdownTableShape) {
   reg.counter("rpbcm.test.rows").add(3);
   reg.histogram("rpbcm.test.h").record(1.0);
   std::stringstream ss;
-  reg.write_markdown(ss);
+  reg.snapshot().write_markdown(ss);
   const std::string md = ss.str();
   EXPECT_NE(md.find("| metric | kind |"), std::string::npos);
   EXPECT_NE(md.find("rpbcm.test.rows"), std::string::npos);

@@ -112,16 +112,13 @@ inline Tensor random_tensor(std::vector<std::size_t> shape,
 
 /// Stable gtest parameter-name stem for a conv shape, e.g.
 /// "ci8_co8_k3_s1_p1_bs4" — readable in `ctest -N` and identical across
-/// builds, unlike gtest's default byte dump of the parameter struct. A
-/// dense conv passes no block size and gets no "_bs" suffix.
+/// builds, unlike gtest's default byte dump of the parameter struct.
 inline std::string conv_case_name(std::size_t cin, std::size_t cout,
                                   std::size_t k, std::size_t stride,
-                                  std::size_t pad, std::size_t bs = 0) {
-  std::string name = "ci" + std::to_string(cin) + "_co" +
-                     std::to_string(cout) + "_k" + std::to_string(k) + "_s" +
-                     std::to_string(stride) + "_p" + std::to_string(pad);
-  if (bs != 0) name += "_bs" + std::to_string(bs);
-  return name;
+                                  std::size_t pad, std::size_t bs) {
+  return "ci" + std::to_string(cin) + "_co" + std::to_string(cout) + "_k" +
+         std::to_string(k) + "_s" + std::to_string(stride) + "_p" +
+         std::to_string(pad) + "_bs" + std::to_string(bs);
 }
 
 /// Max absolute elementwise difference.
