@@ -63,25 +63,8 @@ void BM_FftComplex(benchmark::State& state) {
 }
 BENCHMARK(BM_FftComplex)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
 
-// Full complex FFT of a real signal (imaginary lane zero) — the transform
-// the layers ran before the packed rfft path.
-void BM_FftOfRealSignal(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(n);
-  const auto x = random_vec(n, n);
-  std::vector<numeric::cfloat> scratch(n);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) scratch[i] = {x[i], 0.0F};
-    numeric::fft_inplace(std::span<numeric::cfloat>(scratch), rom, false);
-    benchmark::DoNotOptimize(scratch.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FftOfRealSignal)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
-
-// Packed real FFT of the same signal: an n/2-point complex FFT plus O(n)
-// untangling. Compare against BM_FftOfRealSignal at the same size.
+// Packed real FFT of a real signal: an n/2-point complex FFT plus O(n)
+// untangling — the transform the BCM layers run.
 void BM_RfftReal(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const numeric::TwiddleRom& rom = numeric::twiddle_rom(n);
@@ -127,52 +110,6 @@ void BM_EmacHalf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EmacHalf)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-// Float SoA eMAC inner loop of the BCM layers, accumulating over `bins`
-// frequency bins per (weight, activation) spectrum pair.
-void emac_bins(benchmark::State& state, std::size_t bins) {
-  constexpr std::size_t kPairs = 64;  // in-blocks folded into one accumulator
-  numeric::Rng rng(8);
-  std::vector<float> wr(kPairs * bins), wi(kPairs * bins);
-  std::vector<float> xr(kPairs * bins), xi(kPairs * bins);
-  for (std::size_t i = 0; i < wr.size(); ++i) {
-    wr[i] = rng.gaussian();
-    wi[i] = rng.gaussian();
-    xr[i] = rng.gaussian();
-    xi[i] = rng.gaussian();
-  }
-  std::vector<float> ar(bins), ai(bins);
-  for (auto _ : state) {
-    std::fill(ar.begin(), ar.end(), 0.0F);
-    std::fill(ai.begin(), ai.end(), 0.0F);
-    for (std::size_t p = 0; p < kPairs; ++p) {
-      const float* wrp = wr.data() + p * bins;
-      const float* wip = wi.data() + p * bins;
-      const float* xrp = xr.data() + p * bins;
-      const float* xip = xi.data() + p * bins;
-      for (std::size_t k = 0; k < bins; ++k) {
-        ar[k] += wrp[k] * xrp[k] - wip[k] * xip[k];
-        ai[k] += wrp[k] * xip[k] + wip[k] * xrp[k];
-      }
-    }
-    benchmark::DoNotOptimize(ar.data());
-    benchmark::DoNotOptimize(ai.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kPairs * bins));
-}
-
-// Full-spectrum accumulation (BS bins) vs the half-spectrum path (BS/2+1
-// bins) the layers now run — the eMAC side of the rfft speedup.
-void BM_EmacBinsFull(benchmark::State& state) {
-  emac_bins(state, static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_EmacBinsFull)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_EmacBinsHalf(benchmark::State& state) {
-  emac_bins(state, static_cast<std::size_t>(state.range(0)) / 2 + 1);
-}
-BENCHMARK(BM_EmacBinsHalf)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 nn::ConvSpec conv_spec(std::size_t c) {
   nn::ConvSpec s;

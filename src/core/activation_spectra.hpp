@@ -7,16 +7,17 @@
 namespace rpbcm::core {
 
 /// Half spectra of a batch of activations — the intermediate buffer between
-/// the rFFT stage and the eMAC+IrFFT stage of the staged inference path
-/// (BcmConv2d::infer_rfft → infer_emac_irfft; BcmLinear is the same path
-/// on a 1x1 map). The serving engine hands one of these per micro-batch
-/// across its stage boundary, which is the host-side analogue of the
-/// ping-pong buffer between the paper's C_fft and C_emac pipeline
-/// computations.
+/// the rFFT stage and the eMAC+IrFFT stage (BcmConv2d::infer_rfft →
+/// infer_emac_irfft; BcmLinear is the same path on a 1x1 map). It is also
+/// the layer's forward cache: forward() runs both stages through its own
+/// ActivationSpectra member, which backward() reads. The serving engine
+/// hands one of these per micro-batch across its stage boundary, which is
+/// the host-side analogue of the ping-pong buffer between the paper's C_fft
+/// and C_emac pipeline computations.
 ///
-/// Layout matches the layer's internal cache: SoA re/im, half_bins(BS)
-/// bins per (sample, pixel, in-block), samples-major. Both planes are
-/// 32-byte aligned so the SIMD eMAC kernels get aligned unit-stride rows.
+/// Layout: SoA re/im, half_bins(BS) bins per (sample, pixel, in-block),
+/// samples-major. Both planes are 32-byte aligned so the SIMD eMAC kernels
+/// get aligned unit-stride rows.
 struct ActivationSpectra {
   numeric::AlignedVec<float> re;
   numeric::AlignedVec<float> im;

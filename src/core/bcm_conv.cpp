@@ -175,10 +175,10 @@ void BcmConv2d::maybe_refresh_weight_spectra() {
   const std::size_t blocks = layout_.total_blocks();
   const std::size_t bs = layout_.block_size;
   const std::size_t hb = numeric::half_bins(bs);
-  wspec_im_off_ = numeric::aligned_floats(blocks * hb);
-  wspec_.assign(wspec_im_off_ + blocks * hb, 0.0F);
-  float* wre = wspec_.data();
-  float* wim = wspec_.data() + wspec_im_off_;
+  wspec_re_.assign(blocks * hb, 0.0F);
+  wspec_im_.assign(blocks * hb, 0.0F);
+  float* wre = wspec_re_.data();
+  float* wim = wspec_im_.data();
   const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
   base::parallel_for(0, blocks, kSpectrumGrain,
                      [&](std::size_t b, std::size_t e) {
@@ -208,11 +208,29 @@ void BcmConv2d::maybe_refresh_block_schedule() {
   RPBCM_OBS_COUNT("rpbcm.core.sched.rebuilds", 1);
 }
 
-void BcmConv2d::rfft_stage(const float* xd, std::size_t n, std::size_t h,
-                           std::size_t w, float* re, float* im) const {
+nn::Tensor BcmConv2d::forward(const nn::Tensor& x, bool /*train*/) {
+  prepare_inference();
+  infer_rfft(x, xspec_);
+  return infer_emac_irfft(xspec_);
+}
+
+void BcmConv2d::infer_rfft(const nn::Tensor& x,
+                           ActivationSpectra& spec) const {
+  RPBCM_CHECK_MSG(x.rank() == 4 && x.dim(1) == spec_.in_channels,
+                  "BCM conv input must be NCHW with Cin="
+                      << spec_.in_channels);
+  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t bs = layout_.block_size;
   const std::size_t hb = numeric::half_bins(bs);
   const std::size_t nbi = layout_.in_blocks();
+  spec.re.assign(n * h * w * nbi * hb, 0.0F);
+  spec.im.assign(n * h * w * nbi * hb, 0.0F);
+  spec.samples = n;
+  spec.height = h;
+  spec.width = w;
+  const float* xd = x.data();
+  float* re = spec.re.data();
+  float* im = spec.im.data();
   const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
   // Input half spectra for every in-bounds pixel and channel block ("FFT"
   // stage). Every (sample, pixel, in-block) spectrum is independent. NCHW
@@ -239,14 +257,26 @@ void BcmConv2d::rfft_stage(const float* xd, std::size_t n, std::size_t h,
   RPBCM_OBS_COUNT("rpbcm.numeric.rfft.transforms", n * h * w * nbi);
 }
 
-void BcmConv2d::emac_irfft_stage(std::size_t n, std::size_t h, std::size_t w,
-                                 const float* xr_base, const float* xi_base,
-                                 float* yd) const {
+nn::Tensor BcmConv2d::infer_emac_irfft(const ActivationSpectra& spec) const {
+  RPBCM_CHECK_MSG(wspec_valid_ && wspec_state_ == weight_state(),
+                  "stale weight spectra — call prepare_inference() after "
+                  "any parameter or mask update");
+  RPBCM_CHECK_MSG(sched_valid_ && sched_state_ == mask_version_,
+                  "stale block schedule — call prepare_inference() after "
+                  "any mask update");
+  const std::size_t n = spec.samples, h = spec.height, w = spec.width;
   const std::size_t ho = spec_.out_dim(h), wo = spec_.out_dim(w);
   const std::size_t bs = layout_.block_size;
   const std::size_t nbi = layout_.in_blocks(), nbo = layout_.out_blocks();
   const std::size_t k = spec_.kernel, stride = spec_.stride, pad = spec_.pad;
   const std::size_t hb = numeric::half_bins(bs);
+  RPBCM_CHECK_MSG(spec.re.size() == n * h * w * nbi * hb &&
+                      spec.im.size() == n * h * w * nbi * hb,
+                  "ActivationSpectra size does not match this layer");
+  nn::Tensor y({n, spec_.out_channels, ho, wo});
+  const float* xr_base = spec.re.data();
+  const float* xi_base = spec.im.data();
+  float* yd = y.data();
   const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
   // eMAC stage: frequency-domain accumulation over the surviving blocks of
   // each (kh, kw, bi) row via the compacted schedule — no skip branch in
@@ -269,114 +299,53 @@ void BcmConv2d::emac_irfft_stage(std::size_t n, std::size_t h, std::size_t w,
       const std::size_t ni = q / (ho * wo);
       const std::size_t oh = (q / wo) % ho;
       const std::size_t ow = q % wo;
-      {
-        std::fill(acc_re.begin(), acc_re.end(), 0.0F);
-        std::fill(acc_im.begin(), acc_im.end(), 0.0F);
-        for (std::size_t kh = 0; kh < k; ++kh) {
-          const long ih =
-              static_cast<long>(oh * stride + kh) - static_cast<long>(pad);
-          if (ih < 0 || ih >= static_cast<long>(h)) continue;
-          for (std::size_t kw = 0; kw < k; ++kw) {
-            const long iw =
-                static_cast<long>(ow * stride + kw) - static_cast<long>(pad);
-            if (iw < 0 || iw >= static_cast<long>(w)) continue;
-            const std::size_t pix_base =
-                (((ni * h + static_cast<std::size_t>(ih)) * w +
-                  static_cast<std::size_t>(iw)) *
-                 nbi) *
-                hb;
-            for (std::size_t bi = 0; bi < nbi; ++bi) {
-              const float* xr = xr_base + pix_base + bi * hb;
-              const float* xi = xi_base + pix_base + bi * hb;
-              const std::size_t row = (kh * k + kw) * nbi + bi;
-              for (const auto* it = sched_rows_.begin(row);
-                   it != sched_rows_.end(row); ++it) {
-                mul(acc_re.data() + it->pos * hb, acc_im.data() + it->pos * hb,
-                    wspec_re() + it->blk * hb, wspec_im() + it->blk * hb, xr,
-                    xi, hb);
-              }
-              bins += hb * sched_rows_.group_size(row);
+      std::fill(acc_re.begin(), acc_re.end(), 0.0F);
+      std::fill(acc_im.begin(), acc_im.end(), 0.0F);
+      for (std::size_t kh = 0; kh < k; ++kh) {
+        const long ih =
+            static_cast<long>(oh * stride + kh) - static_cast<long>(pad);
+        if (ih < 0 || ih >= static_cast<long>(h)) continue;
+        for (std::size_t kw = 0; kw < k; ++kw) {
+          const long iw =
+              static_cast<long>(ow * stride + kw) - static_cast<long>(pad);
+          if (iw < 0 || iw >= static_cast<long>(w)) continue;
+          const std::size_t pix_base =
+              (((ni * h + static_cast<std::size_t>(ih)) * w +
+                static_cast<std::size_t>(iw)) *
+               nbi) *
+              hb;
+          for (std::size_t bi = 0; bi < nbi; ++bi) {
+            const float* xr = xr_base + pix_base + bi * hb;
+            const float* xi = xi_base + pix_base + bi * hb;
+            const std::size_t row = (kh * k + kw) * nbi + bi;
+            for (const auto* it = sched_rows_.begin(row);
+                 it != sched_rows_.end(row); ++it) {
+              mul(acc_re.data() + it->pos * hb, acc_im.data() + it->pos * hb,
+                  wspec_re_.data() + it->blk * hb,
+                  wspec_im_.data() + it->blk * hb, xr, xi, hb);
             }
+            bins += hb * sched_rows_.group_size(row);
           }
         }
-        // IFFT stage: recover the real-valued output channel block.
-        for (std::size_t bo = 0; bo < nbo; ++bo) {
-          numeric::irfft_soa(acc_re.data() + bo * hb, acc_im.data() + bo * hb,
-                             out.data(), rom, scratch);
-          for (std::size_t c = 0; c < bs; ++c)
-            yd[((ni * spec_.out_channels + bo * bs + c) * ho + oh) * wo +
-               ow] = out[c];
-        }
+      }
+      // IFFT stage: recover the real-valued output channel block.
+      for (std::size_t bo = 0; bo < nbo; ++bo) {
+        numeric::irfft_soa(acc_re.data() + bo * hb, acc_im.data() + bo * hb,
+                           out.data(), rom, scratch);
+        for (std::size_t c = 0; c < bs; ++c)
+          yd[((ni * spec_.out_channels + bo * bs + c) * ho + oh) * wo +
+             ow] = out[c];
       }
     }
     numeric::emac::note_bins(bins);
   });
   RPBCM_OBS_COUNT("rpbcm.numeric.irfft.transforms", n * ho * wo * nbo);
-}
-
-nn::Tensor BcmConv2d::forward(const nn::Tensor& x, bool /*train*/) {
-  RPBCM_CHECK_MSG(x.rank() == 4 && x.dim(1) == spec_.in_channels,
-                  "BCM conv input must be NCHW with Cin="
-                      << spec_.in_channels);
-  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::size_t ho = spec_.out_dim(h), wo = spec_.out_dim(w);
-  const std::size_t hb = numeric::half_bins(layout_.block_size);
-  const std::size_t nbi = layout_.in_blocks();
-
-  cached_input_ = x;
-  cached_n_ = n;
-  cached_h_ = h;
-  cached_w_ = w;
-  maybe_refresh_weight_spectra();
-  maybe_refresh_block_schedule();
-
-  xspec_im_off_ = numeric::aligned_floats(n * h * w * nbi * hb);
-  xspec_.assign(xspec_im_off_ + n * h * w * nbi * hb, 0.0F);
-  rfft_stage(x.data(), n, h, w, xspec_.data(), xspec_.data() + xspec_im_off_);
-
-  nn::Tensor y({n, spec_.out_channels, ho, wo});
-  emac_irfft_stage(n, h, w, xspec_.data(), xspec_.data() + xspec_im_off_,
-                   y.data());
-  return y;
-}
-
-void BcmConv2d::infer_rfft(const nn::Tensor& x,
-                           ActivationSpectra& spec) const {
-  RPBCM_CHECK_MSG(x.rank() == 4 && x.dim(1) == spec_.in_channels,
-                  "BCM conv input must be NCHW with Cin="
-                      << spec_.in_channels);
-  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::size_t hb = numeric::half_bins(layout_.block_size);
-  const std::size_t nbi = layout_.in_blocks();
-  spec.re.assign(n * h * w * nbi * hb, 0.0F);
-  spec.im.assign(n * h * w * nbi * hb, 0.0F);
-  spec.samples = n;
-  spec.height = h;
-  spec.width = w;
-  rfft_stage(x.data(), n, h, w, spec.re.data(), spec.im.data());
-}
-
-nn::Tensor BcmConv2d::infer_emac_irfft(const ActivationSpectra& spec) const {
-  RPBCM_CHECK_MSG(wspec_valid_ && wspec_state_ == weight_state(),
-                  "stale weight spectra — call prepare_inference() after "
-                  "any parameter or mask update");
-  RPBCM_CHECK_MSG(sched_valid_ && sched_state_ == mask_version_,
-                  "stale block schedule — call prepare_inference() after "
-                  "any mask update");
-  const std::size_t n = spec.samples, h = spec.height, w = spec.width;
-  const std::size_t hb = numeric::half_bins(layout_.block_size);
-  const std::size_t nbi = layout_.in_blocks();
-  RPBCM_CHECK_MSG(spec.re.size() == n * h * w * nbi * hb &&
-                      spec.im.size() == n * h * w * nbi * hb,
-                  "ActivationSpectra size does not match this layer");
-  nn::Tensor y({n, spec_.out_channels, spec_.out_dim(h), spec_.out_dim(w)});
-  emac_irfft_stage(n, h, w, spec.re.data(), spec.im.data(), y.data());
   return y;
 }
 
 nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
-  RPBCM_CHECK_MSG(!cached_input_.empty(), "backward before forward");
-  const std::size_t n = cached_n_, h = cached_h_, w = cached_w_;
+  RPBCM_CHECK_MSG(!xspec_.re.empty(), "backward before forward");
+  const std::size_t n = xspec_.samples, h = xspec_.height, w = xspec_.width;
   const std::size_t ho = spec_.out_dim(h), wo = spec_.out_dim(w);
   RPBCM_CHECK(gy.rank() == 4 && gy.dim(0) == n &&
               gy.dim(1) == spec_.out_channels && gy.dim(2) == ho &&
@@ -455,16 +424,16 @@ nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
                      nbi) *
                     hb;
                 const std::size_t row = (kh * k + kw) * nbi + bi;
-                const float* xr = xspec_.data() + pix_base + bi * hb;
-                const float* xi =
-                    xspec_.data() + xspec_im_off_ + pix_base + bi * hb;
+                const float* xr = xspec_.re.data() + pix_base + bi * hb;
+                const float* xi = xspec_.im.data() + pix_base + bi * hb;
                 float* gxr = gx_re.data() + pix_base + bi * hb;
                 float* gxi = gx_im.data() + pix_base + bi * hb;
                 for (const auto* it = sched_rows_.begin(row);
                      it != sched_rows_.end(row); ++it) {
                   grad(gxr, gxi, gw_re.data() + it->blk * hb,
-                       gw_im.data() + it->blk * hb, wspec_re() + it->blk * hb,
-                       wspec_im() + it->blk * hb, xr, xi,
+                       gw_im.data() + it->blk * hb,
+                       wspec_re_.data() + it->blk * hb,
+                       wspec_im_.data() + it->blk * hb, xr, xi,
                        gspec_re.data() + g_base + it->pos * hb,
                        gspec_im.data() + g_base + it->pos * hb, hb);
                 }

@@ -31,7 +31,9 @@ enum class BcmParameterization {
 /// per-pixel channel-block FFTs, frequency-domain elementwise MACs over all
 /// surviving blocks, and one IFFT per output block ("FFT–eMAC–IFFT").
 /// Pruned blocks are skipped in both passes — the software analogue of the
-/// skip-index scheme of Section IV-B.
+/// skip-index scheme of Section IV-B. forward() is the staged inference
+/// path below run into the layer's own ActivationSpectra, which backward()
+/// then reads.
 class BcmConv2d : public nn::Layer {
  public:
   BcmConv2d(nn::ConvSpec spec, std::size_t block_size,
@@ -89,7 +91,7 @@ class BcmConv2d : public nn::Layer {
   virtual nn::Tensor infer_emac_irfft(const ActivationSpectra& spec) const;
 
   /// Convenience: all three stages back to back — the solo reference path.
-  /// Unlike forward(), does not cache the input for backward.
+  /// Unlike forward(), keeps no spectra for backward.
   nn::Tensor infer(const nn::Tensor& x) {
     prepare_inference();
     ActivationSpectra spec;
@@ -142,13 +144,6 @@ class BcmConv2d : public nn::Layer {
   /// changed since it was built (keyed on mask_version_ alone — pure
   /// parameter updates leave the schedule untouched).
   void maybe_refresh_block_schedule();
-  /// Shared stage bodies: forward() runs them against the member caches,
-  /// the staged inference path against caller-owned buffers. Both read the
-  /// cached weight spectra, which must be fresh.
-  void rfft_stage(const float* x, std::size_t n, std::size_t h,
-                  std::size_t w, float* re, float* im) const;
-  void emac_irfft_stage(std::size_t n, std::size_t h, std::size_t w,
-                        const float* xr, const float* xi, float* y) const;
   /// Monotone fingerprint of everything the weight spectra depend on.
   std::uint64_t weight_state() const {
     return a_.version + b_.version + w_.version + mask_version_;
@@ -164,22 +159,14 @@ class BcmConv2d : public nn::Layer {
   std::vector<std::uint8_t> skip_;  // 1 = keep
   std::uint64_t mask_version_ = 0;  // bumped by prune/restore/skip writes
 
-  // forward caches — half spectra: only the BS/2+1 non-redundant bins of
-  // each real-signal DFT are stored, as split-complex SoA planes. Each
-  // cache is ONE 32-byte-aligned allocation holding the re plane followed
-  // by the im plane at an 8-float-aligned offset, so every bin row the eMAC
+  // Half spectra: only the BS/2+1 non-redundant bins of each real-signal
+  // DFT are stored, as split-complex SoA planes, so every bin row the eMAC
   // kernels touch is unit-stride.
-  tensor::Tensor cached_input_;
-  numeric::AlignedVec<float> wspec_;  // planes of [blocks*(BS/2+1)]
-  std::size_t wspec_im_off_ = 0;
-  numeric::AlignedVec<float> xspec_;  // planes of [N*H*W*in_blocks*(BS/2+1)]
-  std::size_t xspec_im_off_ = 0;
-  std::size_t cached_n_ = 0, cached_h_ = 0, cached_w_ = 0;
+  numeric::AlignedVec<float> wspec_re_;  // [blocks*(BS/2+1)]
+  numeric::AlignedVec<float> wspec_im_;
   std::uint64_t wspec_state_ = 0;
   bool wspec_valid_ = false;
-
-  const float* wspec_re() const { return wspec_.data(); }
-  const float* wspec_im() const { return wspec_.data() + wspec_im_off_; }
+  ActivationSpectra xspec_;  // the last forward's input spectra
 
   // Compacted surviving-block schedule (see block_schedule.hpp), rebuilt
   // lazily off mask_version_. One row per (kh, kw, bi); forward and

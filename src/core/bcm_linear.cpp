@@ -35,10 +35,6 @@ BcmLinear::BcmLinear(std::size_t in_features, std::size_t out_features,
   for (nn::Param* p : params()) p->name.replace(0, 3, "bcmfc");
 }
 
-nn::Tensor BcmLinear::forward(const nn::Tensor& x, bool train) {
-  return as_rows(BcmConv2d::forward(as_map(x, spec().in_channels), train));
-}
-
 nn::Tensor BcmLinear::backward(const nn::Tensor& gy) {
   return as_rows(BcmConv2d::backward(as_map(gy, spec().out_channels)));
 }

@@ -20,7 +20,7 @@ class BcmLinear : public BcmConv2d {
   bool hadamard() const { return mode() == BcmParameterization::kHadamard; }
 
   // The BcmConv2d entry points on [N, in] inputs and [N, out] outputs.
-  nn::Tensor forward(const nn::Tensor& x, bool train) override;
+  // forward() is BcmConv2d's: it reaches these through virtual dispatch.
   nn::Tensor backward(const nn::Tensor& gy) override;
   void infer_rfft(const nn::Tensor& x, ActivationSpectra& spec) const override;
   nn::Tensor infer_emac_irfft(const ActivationSpectra& spec) const override;

@@ -33,17 +33,15 @@ Geometry geometry(const Tensor& x, const ConvSpec& spec) {
 
 }  // namespace
 
-Conv2d::Conv2d(ConvSpec spec, numeric::Rng& rng, bool bias)
+Conv2d::Conv2d(ConvSpec spec, numeric::Rng& rng)
     : spec_(spec),
       weight_("conv.weight",
               Tensor({spec.out_channels, spec.in_channels, spec.kernel,
-                      spec.kernel})),
-      has_bias_(bias) {
+                      spec.kernel})) {
   RPBCM_CHECK(spec.in_channels > 0 && spec.out_channels > 0 && spec.kernel > 0);
   RPBCM_CHECK(spec.stride > 0);
   tensor::fill_kaiming(weight_.value, rng,
                        spec.in_channels * spec.kernel * spec.kernel);
-  if (bias) bias_ = Param("conv.bias", Tensor({spec.out_channels}));
 }
 
 Tensor conv2d_reference(const Tensor& x, const Tensor& w,
@@ -87,20 +85,7 @@ Tensor conv2d_reference(const Tensor& x, const Tensor& w,
 
 Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   cached_input_ = x;
-  Tensor y = conv2d_reference(x, weight_.value, spec_);
-  if (has_bias_) {
-    const Geometry g = geometry(x, spec_);
-    float* yd = y.data();
-    base::parallel_for(0, g.n * g.cout, 4,
-                       [&](std::size_t t0, std::size_t t1) {
-      for (std::size_t t = t0; t < t1; ++t) {
-        const float b = bias_.value[t % g.cout];
-        float* row = yd + t * g.ho * g.wo;
-        for (std::size_t i = 0; i < g.ho * g.wo; ++i) row[i] += b;
-      }
-    });
-  }
-  return y;
+  return conv2d_reference(x, weight_.value, spec_);
 }
 
 Tensor Conv2d::backward(const Tensor& gy) {
@@ -144,23 +129,9 @@ Tensor Conv2d::backward(const Tensor& gy) {
       }
     }
   }
-  if (has_bias_) {
-    float* gbd = bias_.grad.data();
-    for (std::size_t n = 0; n < g.n; ++n)
-      for (std::size_t co = 0; co < g.cout; ++co) {
-        const float* row = gyd + (n * g.cout + co) * g.ho * g.wo;
-        float acc = 0.0F;
-        for (std::size_t i = 0; i < g.ho * g.wo; ++i) acc += row[i];
-        gbd[co] += acc;
-      }
-  }
   return gx;
 }
 
-std::vector<Param*> Conv2d::params() {
-  std::vector<Param*> ps{&weight_};
-  if (has_bias_) ps.push_back(&bias_);
-  return ps;
-}
+std::vector<Param*> Conv2d::params() { return {&weight_}; }
 
 }  // namespace rpbcm::nn

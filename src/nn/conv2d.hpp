@@ -34,7 +34,7 @@ struct ConvSpec {
 /// This is the uncompressed baseline the paper compares against.
 class Conv2d : public Layer {
  public:
-  Conv2d(ConvSpec spec, numeric::Rng& rng, bool bias = false);
+  Conv2d(ConvSpec spec, numeric::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& gy) override;
@@ -44,13 +44,10 @@ class Conv2d : public Layer {
   const ConvSpec& spec() const { return spec_; }
   Param& weight() { return weight_; }
   const Param& weight() const { return weight_; }
-  bool has_bias() const { return has_bias_; }
 
  private:
   ConvSpec spec_;
   Param weight_;  // [Cout][Cin][K][K]
-  Param bias_;    // [Cout] (optional)
-  bool has_bias_ = false;
   Tensor cached_input_;
 };
 

@@ -5,14 +5,13 @@
 namespace rpbcm::nn {
 
 Linear::Linear(std::size_t in_features, std::size_t out_features,
-               numeric::Rng& rng, bool bias)
+               numeric::Rng& rng)
     : in_(in_features),
       out_(out_features),
       weight_("linear.weight", Tensor({out_features, in_features})),
-      has_bias_(bias) {
+      bias_("linear.bias", Tensor({out_features})) {
   RPBCM_CHECK(in_features > 0 && out_features > 0);
   tensor::fill_xavier(weight_.value, rng, in_features, out_features);
-  if (bias) bias_ = Param("linear.bias", Tensor({out_features}));
 }
 
 Tensor Linear::forward(const Tensor& x, bool /*train*/) {
@@ -27,7 +26,7 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
   float* yd = y.data();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t o = 0; o < out_; ++o) {
-      float acc = has_bias_ ? bias_.value[o] : 0.0F;
+      float acc = bias_.value[o];
       const float* xrow = xd + i * in_;
       const float* wrow = wd + o * in_;
       for (std::size_t j = 0; j < in_; ++j) acc += xrow[j] * wrow[j];
@@ -59,16 +58,12 @@ Tensor Linear::backward(const Tensor& gy) {
         gwrow[j] += g * xrow[j];
         gxrow[j] += g * wrow[j];
       }
-      if (has_bias_) bias_.grad[o] += g;
+      bias_.grad[o] += g;
     }
   }
   return gx;
 }
 
-std::vector<Param*> Linear::params() {
-  std::vector<Param*> ps{&weight_};
-  if (has_bias_) ps.push_back(&bias_);
-  return ps;
-}
+std::vector<Param*> Linear::params() { return {&weight_, &bias_}; }
 
 }  // namespace rpbcm::nn

@@ -10,7 +10,7 @@ namespace rpbcm::nn {
 class Linear : public Layer {
  public:
   Linear(std::size_t in_features, std::size_t out_features,
-         numeric::Rng& rng, bool bias = true);
+         numeric::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& gy) override;
@@ -26,7 +26,6 @@ class Linear : public Layer {
   std::size_t out_ = 0;
   Param weight_;  // [out, in]
   Param bias_;    // [out]
-  bool has_bias_ = true;
   Tensor cached_input_;
 };
 

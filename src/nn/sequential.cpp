@@ -63,21 +63,11 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
                   "residual shapes differ: " << a.shape_string() << " vs "
                                              << b.shape_string());
   a += b;
-  relu_mask_.assign(a.size(), false);
-  float* d = a.data();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    relu_mask_[i] = d[i] > 0.0F;
-    if (!relu_mask_[i]) d[i] = 0.0F;
-  }
-  return a;
+  return relu_.forward(a, train);
 }
 
 Tensor ResidualBlock::backward(const Tensor& gy) {
-  RPBCM_CHECK_MSG(gy.size() == relu_mask_.size(), "backward before forward");
-  Tensor g = gy;
-  float* gd = g.data();
-  for (std::size_t i = 0; i < g.size(); ++i)
-    if (!relu_mask_[i]) gd[i] = 0.0F;
+  const Tensor g = relu_.backward(gy);
   Tensor gx_main = main_->backward(g);
   Tensor gx_short = shortcut_ ? shortcut_->backward(g) : g;
   gx_main += gx_short;

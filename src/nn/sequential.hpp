@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 
+#include "nn/activations.hpp"
 #include "nn/layer.hpp"
 
 namespace rpbcm::nn {
@@ -62,7 +63,7 @@ class ResidualBlock : public Layer {
  private:
   std::unique_ptr<Sequential> main_;
   std::unique_ptr<Sequential> shortcut_;  // may be null (identity)
-  std::vector<bool> relu_mask_;
+  ReLU relu_;
 };
 
 }  // namespace rpbcm::nn

@@ -47,10 +47,4 @@ struct AlignedAllocator {
 template <typename T>
 using AlignedVec = std::vector<T, AlignedAllocator<T>>;
 
-/// Rounds a plane length up to an 8-float (32-byte) boundary, so the im
-/// plane of a twin re/im single-allocation layout starts aligned too.
-constexpr std::size_t aligned_floats(std::size_t n) {
-  return (n + 7U) & ~static_cast<std::size_t>(7U);
-}
-
 }  // namespace rpbcm::numeric

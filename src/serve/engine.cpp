@@ -70,14 +70,15 @@ Engine::Engine(StagedModel& model, EngineOptions opts)
 Engine::~Engine() { stop(/*drain=*/false); }
 
 void Engine::start_threads() {
-  fft_state_.busy.store(false, std::memory_order_relaxed);
-  fft_state_.exited.store(false, std::memory_order_relaxed);
-  fft_state_.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-  emac_state_.busy.store(false, std::memory_order_relaxed);
-  emac_state_.exited.store(false, std::memory_order_relaxed);
-  emac_state_.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-  fft_thread_ = std::thread([this] { fft_thread_main(); });
-  emac_thread_ = std::thread([this] { emac_thread_main(); });
+  for (StageState* s : {&fft_state_, &emac_state_}) {
+    s->busy.store(false, std::memory_order_relaxed);
+    s->exited.store(false, std::memory_order_relaxed);
+    s->heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
+  }
+  fft_thread_ =
+      std::thread([this] { stage_main("fft", fft_state_, &Engine::fft_loop); });
+  emac_thread_ = std::thread(
+      [this] { stage_main("emac", emac_state_, &Engine::emac_loop); });
 }
 
 std::future<Response> Engine::submit(Request req) {
@@ -144,29 +145,18 @@ bool Engine::recover() {
   return true;
 }
 
-void Engine::fft_thread_main() {
+void Engine::stage_main(const char* stage, StageState& state,
+                        void (Engine::*loop)()) {
   try {
-    fft_loop();
+    (this->*loop)();
   } catch (const std::exception& e) {
-    handle_stage_failure("fft", e.what());
+    handle_stage_failure(stage, e.what());
   } catch (...) {
-    handle_stage_failure("fft", "unknown exception");
+    handle_stage_failure(stage, "unknown exception");
   }
-  channel_.close();
-  fft_state_.busy.store(false, std::memory_order_release);
-  fft_state_.exited.store(true, std::memory_order_release);
-}
-
-void Engine::emac_thread_main() {
-  try {
-    emac_loop();
-  } catch (const std::exception& e) {
-    handle_stage_failure("emac", e.what());
-  } catch (...) {
-    handle_stage_failure("emac", "unknown exception");
-  }
-  emac_state_.busy.store(false, std::memory_order_release);
-  emac_state_.exited.store(true, std::memory_order_release);
+  channel_.close();  // idempotent; the emac side's close is a no-op
+  state.busy.store(false, std::memory_order_release);
+  state.exited.store(true, std::memory_order_release);
 }
 
 void Engine::fft_loop() {
@@ -283,28 +273,31 @@ void Engine::emac_loop() {
 }
 
 void Engine::watchdog_main() {
+  struct Watched {
+    const char* stage;
+    const char* gauge;
+    const StageState* state;
+  };
+  const Watched watched[] = {
+      {"fft", "rpbcm.serve.fft_heartbeat_seconds", &fft_state_},
+      {"emac", "rpbcm.serve.emac_heartbeat_seconds", &emac_state_}};
   base::MutexLock lock(watchdog_mu_);
   while (!watchdog_stop_) {
     watchdog_cv_.wait_for(watchdog_mu_, watchdog_poll_);
     if (watchdog_stop_) break;
     const std::int64_t now = now_ns();
-    const auto age_seconds = [now](const StageState& s) {
-      return static_cast<double>(
-                 now - s.heartbeat_ns.load(std::memory_order_acquire)) *
-             1e-9;
-    };
-    const double fft_age = age_seconds(fft_state_);
-    const double emac_age = age_seconds(emac_state_);
-    RPBCM_OBS_GAUGE("rpbcm.serve.fft_heartbeat_seconds", fft_age);
-    RPBCM_OBS_GAUGE("rpbcm.serve.emac_heartbeat_seconds", emac_age);
-    if (failed_.load(std::memory_order_acquire)) continue;
     const double stall = std::chrono::duration<double>(stall_timeout_).count();
-    if (fft_state_.busy.load(std::memory_order_acquire) && fft_age > stall) {
-      handle_stage_failure("fft", "watchdog: stage stalled past stall_timeout");
-    } else if (emac_state_.busy.load(std::memory_order_acquire) &&
-               emac_age > stall) {
-      handle_stage_failure("emac",
-                           "watchdog: stage stalled past stall_timeout");
+    for (const auto& [stage, gauge, state] : watched) {
+      const double age =
+          static_cast<double>(
+              now - state->heartbeat_ns.load(std::memory_order_acquire)) *
+          1e-9;
+      RPBCM_OBS_GAUGE(gauge, age);
+      // The first stall found fails the engine; later stages see failed_.
+      if (!failed_.load(std::memory_order_acquire) &&
+          state->busy.load(std::memory_order_acquire) && age > stall)
+        handle_stage_failure(stage,
+                             "watchdog: stage stalled past stall_timeout");
     }
   }
 }

@@ -141,8 +141,11 @@ class Engine {
   };
 
   void start_threads() RPBCM_REQUIRES(stop_mu_);
-  void fft_thread_main();
-  void emac_thread_main();
+  /// Body of both stage threads: runs `loop`, routes any exception to
+  /// handle_stage_failure(stage), then closes the channel (so the peer
+  /// stage drains and exits) and marks `state` exited.
+  void stage_main(const char* stage, StageState& state,
+                  void (Engine::*loop)());
   void fft_loop();
   void emac_loop();
   void watchdog_main();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bcm_linear.hpp"
 #include "nn/conv2d.hpp"
 #include "test_util.hpp"
 
@@ -120,6 +121,34 @@ TEST(BcmConvTest, PrunedBlocksProduceNoOutputOrGradient) {
   for (auto* p : layer.params())
     for (std::size_t i = 0; i < p->grad.size(); ++i)
       EXPECT_EQ(p->grad[i], 0.0F);
+}
+
+TEST(BcmConvTest, BackwardFollowsLatestForward) {
+  // forward() keeps only the latest batch's spectra, so backward takes the
+  // gradient shape of the most recent forward — for the conv layer and for
+  // BcmLinear, whose forward is the same path behind a reshape.
+  numeric::Rng rng(19);
+  BcmConv2d conv(spec(8, 8), 4, BcmParameterization::kHadamard, rng);
+  BcmLinear fc(8, 8, 4, /*hadamard=*/false, rng);
+  struct Case {
+    nn::Layer* layer;
+    std::vector<std::size_t> x2, x3, y2, y3;
+  };
+  const Case cases[] = {
+      {&conv, {2, 8, 3, 3}, {3, 8, 3, 3}, {2, 8, 3, 3}, {3, 8, 3, 3}},
+      {&fc, {2, 8}, {3, 8}, {2, 8}, {3, 8}}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.layer->name());
+    EXPECT_THROW(c.layer->backward(random_tensor(c.y2, 20)),
+                 rpbcm::CheckError);
+    c.layer->forward(random_tensor(c.x2, 21), true);
+    const auto y3 = c.layer->forward(random_tensor(c.x3, 22), true);
+    ASSERT_EQ(y3.shape(), c.y3);
+    const auto gx = c.layer->backward(random_tensor(c.y3, 23));
+    EXPECT_EQ(gx.shape(), c.x3);
+    EXPECT_THROW(c.layer->backward(random_tensor(c.y2, 24)),
+                 rpbcm::CheckError);
+  }
 }
 
 TEST(BcmConvTest, PruningReducesDeployedParams) {

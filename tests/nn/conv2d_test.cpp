@@ -116,20 +116,6 @@ TEST(Conv2dTest, GradientCheckInput) {
   EXPECT_LT(input_grad_error(conv, x), 5e-2);
 }
 
-TEST(Conv2dTest, BiasGradientAndForward) {
-  ConvSpec s;
-  s.in_channels = 1;
-  s.out_channels = 2;
-  s.kernel = 1;
-  s.stride = 1;
-  s.pad = 0;
-  numeric::Rng rng(5);
-  Conv2d conv(s, rng, /*bias=*/true);
-  EXPECT_EQ(conv.params().size(), 2u);
-  const auto x = random_tensor({1, 1, 3, 3}, 6, 0.5F);
-  EXPECT_LT(param_grad_error(conv, x), 5e-2);
-}
-
 TEST(Conv2dTest, ChannelMismatchRejected) {
   ConvSpec s;
   s.in_channels = 4;

@@ -46,7 +46,7 @@ TEST(ReLUTest, BackwardMasksGradient) {
 
 TEST(LinearTest, ForwardMatchesManual) {
   numeric::Rng rng(1);
-  Linear lin(2, 2, rng, true);
+  Linear lin(2, 2, rng);
   lin.weight().value.at(0, 0) = 1.0F;
   lin.weight().value.at(0, 1) = 2.0F;
   lin.weight().value.at(1, 0) = -1.0F;
