@@ -80,7 +80,26 @@ void BM_RfftReal(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_RfftReal)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
+BENCHMARK(BM_RfftReal)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
+
+// Its Hermitian inverse: re-tangling plus an n/2-point inverse FFT. Sizes 4,
+// 8 and 16 run the straight-line codelets, the rest the generic loop.
+void BM_IrfftReal(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const numeric::TwiddleRom& rom = numeric::twiddle_rom(n);
+  const auto x = random_vec(n, n);
+  const std::size_t hb = numeric::half_bins(n);
+  std::vector<float> re(hb), im(hb), out(n);
+  std::vector<numeric::cfloat> scratch(numeric::rfft_scratch_size(n));
+  numeric::rfft_soa(x.data(), re.data(), im.data(), rom, scratch);
+  for (auto _ : state) {
+    numeric::irfft_soa(re.data(), im.data(), out.data(), rom, scratch);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_IrfftReal)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
 
 void BM_FixedPointFftPe(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -223,8 +223,9 @@ void BcmConv2d::infer_rfft(const nn::Tensor& x,
   const std::size_t bs = layout_.block_size;
   const std::size_t hb = numeric::half_bins(bs);
   const std::size_t nbi = layout_.in_blocks();
-  spec.re.assign(n * h * w * nbi * hb, 0.0F);
-  spec.im.assign(n * h * w * nbi * hb, 0.0F);
+  // No zero-fill: rfft_soa writes all BS/2+1 bins of every row below.
+  spec.re.resize(n * h * w * nbi * hb);
+  spec.im.resize(n * h * w * nbi * hb);
   spec.samples = n;
   spec.height = h;
   spec.width = w;

@@ -4,7 +4,9 @@
 
 namespace rpbcm::nn {
 
-/// Rectified linear unit; caches the activation mask for backward.
+/// Rectified linear unit. A training-mode forward caches the activation
+/// mask for backward; an eval-mode forward keeps none, so backward after
+/// it throws CheckError.
 class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;

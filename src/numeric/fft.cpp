@@ -81,6 +81,9 @@ void fft_inplace(std::span<cfloat> data, const TwiddleRom& rom, bool inverse) {
                                       << n);
   if (n <= 1) return;
   bit_reverse_permute(data);
+  // k * stride < rom.size() / 2 below, so the size check above covers every
+  // twiddle read.
+  const cfloat* table = rom.table();
   for (std::size_t len = 2; len <= n; len <<= 1) {
     // Twiddle index step at this stage. W_len^k lives at k * rom.size()/len
     // in a ROM of any power-of-two multiple size, so one ROM serves n and
@@ -88,8 +91,8 @@ void fft_inplace(std::span<cfloat> data, const TwiddleRom& rom, bool inverse) {
     const std::size_t stride = rom.size() / len;
     for (std::size_t i = 0; i < n; i += len) {
       for (std::size_t k = 0; k < len / 2; ++k) {
-        const cfloat w = inverse ? rom.inverse(k * stride)
-                                 : rom.forward(k * stride);
+        const cfloat w = inverse ? std::conj(table[k * stride])
+                                 : table[k * stride];
         const cfloat u = data[i + k];
         const cfloat v = data[i + k + len / 2] * w;
         data[i + k] = u + v;

@@ -35,6 +35,11 @@ class TwiddleRom {
 
   std::size_t size() const { return n_; }
 
+  /// The rom_words() forward twiddles W_n^0 .. W_n^{n/2-1}, unchecked: the
+  /// transform kernels read them through this one pointer after checking
+  /// their sizes once per call.
+  const cfloat* table() const { return w_.data(); }
+
   /// Number of complex words stored (n/2) — used by the BRAM model.
   std::size_t rom_words() const { return w_.size(); }
 

@@ -33,6 +33,10 @@ constexpr std::size_t rfft_scratch_size(std::size_t n) {
 /// `x` into the n/2+1 half-spectrum bins at (re, im). `scratch` provides
 /// at least rfft_scratch_size(n) complex words. im[0] and im[n/2] are
 /// exactly zero (DC and Nyquist bins of a real signal are real).
+/// n ∈ {4, 8, 16} runs a straight-line codelet that leaves `scratch`
+/// untouched and is bitwise equal to the generic path on finite inputs;
+/// on NaN/Inf inputs only some non-finite output is promised
+/// (docs/simd.md).
 void rfft_soa(const float* x, float* re, float* im, const TwiddleRom& rom,
               std::span<cfloat> scratch);
 
@@ -40,6 +44,8 @@ void rfft_soa(const float* x, float* re, float* im, const TwiddleRom& rom,
 /// samples at `x` from the n/2+1 half-spectrum bins at (re, im). Conjugate
 /// symmetry of the implied full spectrum is assumed, so a Hermitian
 /// accumulation (any product/sum of real-signal spectra) inverts exactly.
+/// im[0] and im[n/2] are not read. n ∈ {4, 8, 16} runs a codelet, as
+/// for rfft_soa.
 void irfft_soa(const float* re, const float* im, float* x,
                const TwiddleRom& rom, std::span<cfloat> scratch);
 

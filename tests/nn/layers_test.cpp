@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <limits>
+
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -42,6 +46,31 @@ TEST(ReLUTest, BackwardMasksGradient) {
   EXPECT_EQ(g[1], 1.0F);
   EXPECT_EQ(g[2], 0.0F);
   EXPECT_EQ(g[3], 1.0F);
+}
+
+TEST(ReluTest, EvalForwardMatchesTrainAndKeepsNoMask) {
+  ReLU relu;
+  Tensor x({1, 2, 2, 4});
+  const float specials[] = {-0.0F,
+                            0.0F,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  const auto r = random_tensor(x.shape(), 3);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = i < std::size(specials) ? specials[i] : r[i];
+  const auto train = relu.forward(x, /*train=*/true);
+  const auto eval = relu.forward(x, /*train=*/false);
+  ASSERT_EQ(eval.shape(), train.shape());
+  EXPECT_EQ(std::memcmp(eval.data(), train.data(), x.size() * sizeof(float)),
+            0);
+  EXPECT_THROW(relu.backward(Tensor::full(x.shape(), 1.0F)),
+               rpbcm::CheckError);
+  relu.forward(x, /*train=*/true);  // a training forward re-arms backward
+  EXPECT_NO_THROW(relu.backward(Tensor::full(x.shape(), 1.0F)));
 }
 
 TEST(LinearTest, ForwardMatchesManual) {

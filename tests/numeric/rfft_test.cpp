@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "base/check.hpp"
@@ -93,6 +96,139 @@ TEST(RfftTest, TinySizesBySpecialCase) {
   irfft_soa(re2, im2, back2, TwiddleRom(2), s2);
   EXPECT_EQ(back2[0], 2.0F);
   EXPECT_EQ(back2[1], -1.0F);
+}
+
+// Sample mix for the bitwise property test: `zero_eighths`/8 of the samples
+// ±0, one in sixteen of the rest a denormal of either sign, the others
+// Gaussian over a few decades.
+float property_sample(std::mt19937_64& rng, std::uint64_t zero_eighths) {
+  const std::uint64_t r = rng();
+  const bool negative = (r & 1) != 0;
+  float v;
+  if ((r >> 1) % 8 < zero_eighths) {
+    v = 0.0F;
+  } else if ((r >> 4) % 16 == 0) {
+    v = std::numeric_limits<float>::denorm_min() *
+        static_cast<float>((r >> 8) % (1U << 23) + 1);
+  } else {
+    std::normal_distribution<float> g(0.0F, 1.0F);
+    v = g(rng) * std::ldexp(1.0F, static_cast<int>((r >> 8) % 13) - 6);
+  }
+  return negative ? -v : v;
+}
+
+// The generic packed transforms spelled out from public pieces: the m-point
+// fft_inplace plus the untangle/re-tangle loops rfft_soa/irfft_soa run for
+// sizes without a codelet.
+void packed_rfft_reference(const float* x, float* re, float* im,
+                           const TwiddleRom& rom) {
+  const std::size_t m = rom.size() / 2;
+  std::vector<cfloat> z(m);
+  for (std::size_t j = 0; j < m; ++j) z[j] = cfloat(x[2 * j], x[2 * j + 1]);
+  fft_inplace(std::span<cfloat>(z), rom, /*inverse=*/false);
+  re[0] = z[0].real() + z[0].imag();
+  im[0] = 0.0F;
+  re[m] = z[0].real() - z[0].imag();
+  im[m] = 0.0F;
+  for (std::size_t k = 1; k < m; ++k) {
+    const cfloat zk = z[k];
+    const cfloat zc = std::conj(z[m - k]);
+    const cfloat even = 0.5F * (zk + zc);
+    const cfloat odd = cfloat(0.0F, -0.5F) * (zk - zc);
+    const cfloat bin = even + rom.forward(k) * odd;
+    re[k] = bin.real();
+    im[k] = bin.imag();
+  }
+}
+
+void packed_irfft_reference(const float* re, const float* im, float* x,
+                            const TwiddleRom& rom) {
+  const std::size_t m = rom.size() / 2;
+  std::vector<cfloat> z(m);
+  z[0] = cfloat(0.5F * (re[0] + re[m]), 0.5F * (re[0] - re[m]));
+  for (std::size_t k = 1; k < m; ++k) {
+    const cfloat xk(re[k], im[k]);
+    const cfloat xc(re[m - k], -im[m - k]);
+    const cfloat even = 0.5F * (xk + xc);
+    const cfloat odd = rom.inverse(k) * (0.5F * (xk - xc));
+    z[k] = even + cfloat(0.0F, 1.0F) * odd;
+  }
+  fft_inplace(std::span<cfloat>(z), rom, /*inverse=*/true);
+  for (std::size_t j = 0; j < m; ++j) {
+    x[2 * j] = z[j].real();
+    x[2 * j + 1] = z[j].imag();
+  }
+}
+
+TEST(RfftTest, CodeletMatchesPackedReference) {
+  constexpr int kTrials = 65536;
+  for (const std::size_t n : {4, 8, 16}) {
+    const TwiddleRom& rom = twiddle_rom(n);
+    const std::size_t hb = half_bins(n);
+    std::mt19937_64 rng(n);
+    std::vector<cfloat> scratch(rfft_scratch_size(n));
+    std::vector<float> x(n), re(hb), im(hb), ref_re(hb), ref_im(hb),
+        back(n), ref_back(n);
+    std::size_t mismatches = 0;
+    for (int t = 0; t < kTrials; ++t) {
+      // The ±0 share cycles through 1/8, 3/8, 5/8 and 7/8 (half overall):
+      // in the sparse signals a zero's sign reaches the outputs through
+      // every stage, so a reordered or skipped operation shows.
+      const std::uint64_t zero_eighths = 1 + 2 * (t % 4);
+      for (auto& v : x) v = property_sample(rng, zero_eighths);
+      rfft_soa(x.data(), re.data(), im.data(), rom, scratch);
+      packed_rfft_reference(x.data(), ref_re.data(), ref_im.data(), rom);
+      mismatches += std::memcmp(re.data(), ref_re.data(), hb * 4) != 0 ||
+                    std::memcmp(im.data(), ref_im.data(), hb * 4) != 0;
+      // Independent random half spectra, not only rfft outputs.
+      for (auto& v : re) v = property_sample(rng, zero_eighths);
+      for (auto& v : im) v = property_sample(rng, zero_eighths);
+      irfft_soa(re.data(), im.data(), back.data(), rom, scratch);
+      packed_irfft_reference(re.data(), im.data(), ref_back.data(), rom);
+      mismatches += std::memcmp(back.data(), ref_back.data(), n * 4) != 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << n;
+  }
+}
+
+TEST(RfftTest, NonFiniteInputsGiveNonFiniteOutputs) {
+  // The contract for NaN/Inf inputs: some output is NaN or Inf. Which one,
+  // and whether an Inf comes back as Inf or NaN, is not promised — the
+  // codelets skip std::complex's __mulsc3 recovery that the generic path
+  // (n >= 32) keeps.
+  const auto any_non_finite = [](const std::vector<float>& v) {
+    for (float f : v)
+      if (!std::isfinite(f)) return true;
+    return false;
+  };
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (const std::size_t n : {4, 8, 16, 32}) {
+    const TwiddleRom& rom = twiddle_rom(n);
+    const std::size_t hb = half_bins(n);
+    std::vector<cfloat> scratch(rfft_scratch_size(n));
+    for (const float special : specials) {
+      for (std::size_t p = 0; p < n; ++p) {
+        auto x = random_signal(n, p);
+        x[p] = special;
+        std::vector<float> re(hb), im(hb);
+        rfft_soa(x.data(), re.data(), im.data(), rom, scratch);
+        re.insert(re.end(), im.begin(), im.end());
+        EXPECT_TRUE(any_non_finite(re)) << "n=" << n << " sample " << p;
+      }
+      // im[0] and im[n/2] are not read: the DC and Nyquist bins are real.
+      for (std::size_t k = 0; k < 2 * hb; ++k) {
+        if (k == hb || k == 2 * hb - 1) continue;
+        auto re = random_signal(hb, k);
+        auto im = random_signal(hb, k + 100);
+        (k < hb ? re[k] : im[k - hb]) = special;
+        std::vector<float> back(n);
+        irfft_soa(re.data(), im.data(), back.data(), rom, scratch);
+        EXPECT_TRUE(any_non_finite(back)) << "n=" << n << " word " << k;
+      }
+    }
+  }
 }
 
 TEST(RfftTest, TwiddleRomCacheReturnsStableReference) {
