@@ -184,6 +184,35 @@ void BM_BcmConvForwardPruned(benchmark::State& state) {
 }
 BENCHMARK(BM_BcmConvForwardPruned)->Arg(16)->Arg(32)->Arg(64);
 
+// The pixel-lane eMAC+IFFT stage alone, one sample, at two VGG-16 proxy
+// shapes (BS 8, hadaBCM): channels c -> c on a map x map input, with
+// alpha_pct % of the blocks pruned (21 of every 25 at 84).
+void BM_EmacIrfftLanes(benchmark::State& state) {
+  const auto c = static_cast<std::size_t>(state.range(0));
+  const auto map = static_cast<std::size_t>(state.range(1));
+  const auto alpha_pct = static_cast<std::size_t>(state.range(2));
+  numeric::Rng rng(8);
+  core::BcmConv2d conv(conv_spec(c), 8,
+                       core::BcmParameterization::kHadamard, rng);
+  for (std::size_t b = 0; b < conv.layout().total_blocks(); ++b)
+    if (b % 25 < alpha_pct / 4) conv.prune_block(b);
+  tensor::Tensor x({1, c, map, map});
+  tensor::fill_gaussian(x, rng);
+  conv.prepare_inference();
+  core::ActivationSpectra spec;
+  conv.infer_rfft(x, spec);
+  for (auto _ : state) {
+    auto y = conv.infer_emac_irfft(spec);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK(BM_EmacIrfftLanes)
+    ->ArgNames({"c", "map", "alpha"})
+    ->Args({32, 16, 0})    // bcm0
+    ->Args({32, 16, 84})
+    ->Args({128, 4, 0})    // bcm4
+    ->Args({128, 4, 84});
+
 // Wall-clock of `reps` invocations of fn(), in milliseconds.
 template <typename Fn>
 double time_ms(int reps, Fn&& fn) {

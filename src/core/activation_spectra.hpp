@@ -15,9 +15,14 @@ namespace rpbcm::core {
 /// the host-side analogue of the ping-pong buffer between the paper's C_fft
 /// and C_emac pipeline computations.
 ///
-/// Layout: SoA re/im, half_bins(BS) bins per (sample, pixel, in-block),
-/// samples-major. Both planes are 32-byte aligned so the SIMD eMAC kernels
-/// get aligned unit-stride rows.
+/// Layout: SoA re/im planes, pixel-minor per row:
+///   [sample][input row][in-block][bin][input column],
+/// half_bins(BS) bins per (sample, pixel, in-block). Neighbouring pixels of
+/// one row are adjacent for every bin, so the pixel-lane kernels
+/// (core/conv_lanes.hpp) load a run of them as one vector, straight from
+/// the NCHW input on the rFFT side. There is no halo: edge lanes are
+/// handled in the kernels. For a 1x1 map (BcmLinear) this is (sample,
+/// in-block, bin). Both planes are 32-byte aligned.
 struct ActivationSpectra {
   numeric::AlignedVec<float> re;
   numeric::AlignedVec<float> im;

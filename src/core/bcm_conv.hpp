@@ -11,6 +11,10 @@
 #include "numeric/aligned.hpp"
 #include "numeric/random.hpp"
 
+namespace rpbcm::numeric {
+class TwiddleRom;
+}
+
 namespace rpbcm::core {
 
 /// How the defining vector of each BCM is parameterized during training.
@@ -76,18 +80,21 @@ class BcmConv2d : public nn::Layer {
   }
 
   /// Stage 1 (C_fft): per-pixel channel-block rFFTs of an NCHW batch into
-  /// `spec`. Each (sample, pixel, in-block) spectrum depends only on that
-  /// sample's data, so a sample's spectra are bitwise identical at any
-  /// batch size and any thread count. Virtual, like forward/backward, so
+  /// `spec` (pixel-minor per row, see ActivationSpectra), several pixels
+  /// of a row per vector. Each (sample, pixel, in-block) spectrum depends
+  /// only on that sample's data, so a sample's spectra are bitwise
+  /// identical at any batch size and any thread count. Virtual, like forward/backward, so
   /// BcmLinear's [N, C] shape handling applies however it is reached.
   virtual void infer_rfft(const nn::Tensor& x, ActivationSpectra& spec) const;
 
   /// Stages 2+3 (C_emac + C_ifft): frequency-domain accumulation over the
   /// surviving blocks plus one inverse rFFT per output pixel per out-block;
   /// returns [N, Cout, Ho, Wo]. Requires fresh weight spectra
-  /// (prepare_inference) — checked. Per-sample accumulation order is the
-  /// fixed serial nest, so outputs are bitwise identical whether a sample
-  /// ran solo or inside any batch.
+  /// (prepare_inference) — checked. Runs tiles of neighbouring output
+  /// pixels, one per vector lane (core/conv_lanes.hpp); each lane keeps the
+  /// fixed serial per-pixel accumulation order, so outputs are bitwise
+  /// identical whether a sample ran solo or inside any batch, on either
+  /// dispatch path.
   virtual nn::Tensor infer_emac_irfft(const ActivationSpectra& spec) const;
 
   /// Convenience: all three stages back to back — the solo reference path.
@@ -152,6 +159,9 @@ class BcmConv2d : public nn::Layer {
   nn::ConvSpec spec_;
   BcmLayout layout_;
   BcmParameterization mode_;
+  // The size-BS twiddle ROM, resolved once here: the process-wide ROMs
+  // live for the whole process, so the stages never take the cache lock.
+  const numeric::TwiddleRom* rom_;
 
   nn::Param a_;  // [total_blocks, BS] (Hadamard) — or unused
   nn::Param b_;

@@ -11,7 +11,12 @@
 // identical (docs/simd.md). The sub-8 tail steps down through a 128-bit
 // vector and then scalar ops — the same per-bin expressions again, chosen
 // over maskload/maskstore because the masked forms cost more than the
-// whole tail at the BS=16 row length (9 bins) the layers actually run.
+// whole tail at short rows (BS 8 has 5 bins, BS 16 has 9).
+//
+// The forward layers no longer call mul_acc_*: BcmConv2d's eMAC runs
+// across output pixels in the lane kernels (src/core/conv_lanes_impl.hpp).
+// mul_acc_* remains the reference the emac_simd gate rows time; grad_acc_*
+// is the backward eMAC.
 #include "numeric/emac.hpp"
 
 #include "base/check.hpp"

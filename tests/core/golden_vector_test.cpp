@@ -116,6 +116,37 @@ void check_backward_golden(nn::Layer& layer, const tensor::Tensor& x,
   }
 }
 
+// One spectrum plane of an ActivationSpectra permuted from its lane layout
+// [sample][row][in-block][bin][column] (core/activation_spectra.hpp) into
+// the canonical (sample, pixel, in-block, bin) order the .hex files hold.
+std::vector<float> canonical_order(const core::ActivationSpectra& spec,
+                                   const numeric::AlignedVec<float>& plane,
+                                   std::size_t in_blocks, std::size_t hb) {
+  const std::size_t h = spec.height, w = spec.width;
+  std::vector<float> out(plane.size());
+  std::size_t i = 0;
+  for (std::size_t ni = 0; ni < spec.samples; ++ni)
+    for (std::size_t ih = 0; ih < h; ++ih)
+      for (std::size_t iw = 0; iw < w; ++iw)
+        for (std::size_t bi = 0; bi < in_blocks; ++bi)
+          for (std::size_t kb = 0; kb < hb; ++kb)
+            out[i++] = plane[(((ni * h + ih) * in_blocks + bi) * hb + kb) * w +
+                             iw];
+  return out;
+}
+
+// Compares both spectrum planes against `<prefix>_spec_{re,im}.hex`.
+void check_spectra_golden(const std::string& prefix,
+                          const core::ActivationSpectra& spec,
+                          const core::BcmLayout& layout) {
+  const std::size_t nbi = layout.in_blocks();
+  const std::size_t hb = layout.block_size / 2 + 1;
+  check_golden(prefix + "_spec_re.hex",
+               canonical_order(spec, spec.re, nbi, hb));
+  check_golden(prefix + "_spec_im.hex",
+               canonical_order(spec, spec.im, nbi, hb));
+}
+
 // The golden BcmLinear case: 32 -> 32, BS 8, hadaBCM, blocks 1 and 6
 // pruned, a 2-sample batch.
 core::BcmLinear golden_linear() {
@@ -151,8 +182,7 @@ TEST(GoldenVectors, BcmLinearSpectraAndLogits) {
   layer.infer_rfft(x, spec);
   const tensor::Tensor y = layer.infer_emac_irfft(spec);
 
-  check_golden("linear_spec_re.hex", spec.re);
-  check_golden("linear_spec_im.hex", spec.im);
+  check_spectra_golden("linear", spec, layer.layout());
   check_golden("linear_logits.hex", y.span());
 }
 
@@ -164,8 +194,7 @@ TEST(GoldenVectors, BcmConv2dSpectraAndLogits) {
   layer.infer_rfft(x, spec);
   const tensor::Tensor y = layer.infer_emac_irfft(spec);
 
-  check_golden("conv_spec_re.hex", spec.re);
-  check_golden("conv_spec_im.hex", spec.im);
+  check_spectra_golden("conv", spec, layer.layout());
   check_golden("conv_logits.hex", y.span());
 }
 
