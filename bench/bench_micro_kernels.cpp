@@ -140,18 +140,54 @@ nn::ConvSpec conv_spec(std::size_t c) {
   return s;
 }
 
-void BM_DenseConvForward(benchmark::State& state) {
+// Args: {Cin, Cout, map side, batch}. The last row is the VGG proxy's stem
+// (3->32, 16x16, batch 16).
+nn::ConvSpec dense_spec(const benchmark::State& state) {
+  nn::ConvSpec s = conv_spec(static_cast<std::size_t>(state.range(0)));
+  s.out_channels = static_cast<std::size_t>(state.range(1));
+  return s;
+}
+
+tensor::Tensor dense_input(const benchmark::State& state, numeric::Rng& rng) {
   const auto c = static_cast<std::size_t>(state.range(0));
-  numeric::Rng rng(5);
-  nn::Conv2d conv(conv_spec(c), rng);
-  tensor::Tensor x({1, c, 14, 14});
+  const auto hw = static_cast<std::size_t>(state.range(2));
+  const auto n = static_cast<std::size_t>(state.range(3));
+  tensor::Tensor x({n, c, hw, hw});
   tensor::fill_gaussian(x, rng);
+  return x;
+}
+
+void BM_DenseConvForward(benchmark::State& state) {
+  numeric::Rng rng(5);
+  nn::Conv2d conv(dense_spec(state), rng);
+  const tensor::Tensor x = dense_input(state, rng);
   for (auto _ : state) {
     auto y = conv.forward(x, false);
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_DenseConvForward)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_DenseConvForward)
+    ->Args({16, 16, 14, 1})
+    ->Args({32, 32, 14, 1})
+    ->Args({64, 64, 14, 1})
+    ->Args({3, 32, 16, 16});
+
+// Weight and input gradient of one training step (the forward that caches
+// the input runs once, outside the timed loop).
+void BM_DenseConvBackward(benchmark::State& state) {
+  numeric::Rng rng(8);
+  nn::Conv2d conv(dense_spec(state), rng);
+  const tensor::Tensor x = dense_input(state, rng);
+  tensor::Tensor gy = conv.forward(x, true);
+  tensor::fill_gaussian(gy, rng);
+  for (auto _ : state) {
+    auto gx = conv.backward(gy);
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::DoNotOptimize(conv.weight().grad.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DenseConvBackward)->Args({3, 32, 16, 16});
 
 void BM_BcmConvForward(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));

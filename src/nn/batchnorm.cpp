@@ -61,6 +61,10 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
       }
     }
   } else {
+    // Eval keeps no backward state: a backward after it throws instead of
+    // reading the last training batch.
+    cached_xhat_ = Tensor();
+    cached_inv_std_.clear();
     for (std::size_t ci = 0; ci < c; ++ci) {
       const float inv_std = 1.0F / std::sqrt(running_var_[ci] + eps_);
       const float m = running_mean_[ci];

@@ -31,7 +31,11 @@ struct ConvSpec {
 };
 
 /// Plain dense 2-D convolution (NCHW in, OIHW weights), direct algorithm.
-/// This is the uncompressed baseline the paper compares against.
+/// This is the uncompressed baseline the paper compares against. Forward,
+/// weight gradient and input gradient each run one pixel-lane nest
+/// (nn/conv2d_lanes.hpp), bitwise equal to conv2d_reference and to the
+/// scalar backward loop at every thread count and on both dispatch paths.
+/// An eval-mode forward keeps no input copy, so backward after it throws.
 class Conv2d : public Layer {
  public:
   Conv2d(ConvSpec spec, numeric::Rng& rng);
@@ -51,8 +55,8 @@ class Conv2d : public Layer {
   Tensor cached_input_;
 };
 
-/// Reference convolution used by tests and the accelerator's golden model:
-/// pure function, no layer state.
+/// Reference convolution, the scalar 7-deep loop: the oracle the lane nests
+/// and the BCM layers are tested against. Pure function, no layer state.
 Tensor conv2d_reference(const Tensor& x, const Tensor& w, const ConvSpec& spec);
 
 }  // namespace rpbcm::nn

@@ -14,11 +14,12 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
   tensor::fill_xavier(weight_.value, rng, in_features, out_features);
 }
 
-Tensor Linear::forward(const Tensor& x, bool /*train*/) {
+Tensor Linear::forward(const Tensor& x, bool train) {
   RPBCM_CHECK_MSG(x.rank() == 2 && x.dim(1) == in_,
                   "linear input must be [N," << in_ << "], got "
                                              << x.shape_string());
-  cached_input_ = x;
+  // Only backward reads the input, so eval keeps no copy.
+  cached_input_ = train ? x : Tensor();
   const std::size_t n = x.dim(0);
   Tensor y({n, out_});
   const float* xd = x.data();
@@ -37,7 +38,8 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor Linear::backward(const Tensor& gy) {
-  RPBCM_CHECK_MSG(!cached_input_.empty(), "backward before forward");
+  RPBCM_CHECK_MSG(!cached_input_.empty(),
+                  "Linear backward requires a training-mode forward");
   const std::size_t n = cached_input_.dim(0);
   RPBCM_CHECK(gy.rank() == 2 && gy.dim(0) == n && gy.dim(1) == out_);
   Tensor gx({n, in_});

@@ -136,6 +136,37 @@ TEST(ParallelEquivTest, ReferenceConvBitwise) {
   }
 }
 
+// The dense layer's three lane nests: forward rows, weight-gradient channel
+// groups and input-gradient samples. Two backward calls, so the second
+// adds onto non-zero weight gradients.
+LayerRun run_dense_conv() {
+  nn::ConvSpec spec;
+  spec.in_channels = 3;
+  spec.out_channels = 12;
+  spec.kernel = 3;
+  spec.stride = 1;
+  spec.pad = 1;
+  numeric::Rng rng(1);
+  nn::Conv2d layer(spec, rng);
+  const auto x = random_tensor({3, 3, 9, 11}, 2, 0.7F);
+  LayerRun r;
+  r.y = layer.forward(x, /*train=*/true);
+  layer.backward(random_tensor(r.y.shape(), 3, 0.5F));
+  r.gx = layer.backward(random_tensor(r.y.shape(), 4, 0.5F));
+  for (auto* p : layer.params()) r.grads.push_back(p->grad);
+  return r;
+}
+
+TEST(ParallelEquivTest, DenseConvBitwiseAcrossThreadCounts) {
+  ThreadGuard guard;
+  base::set_num_threads(1);
+  const auto want = run_dense_conv();
+  for (std::size_t t : kThreadCounts) {
+    base::set_num_threads(t);
+    expect_layer_runs_equal(run_dense_conv(), want);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // nn: loss forward/backward and top-k accuracy
 

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <numeric>
 #include <random>
 #include <string>
@@ -23,33 +22,18 @@
 
 #include "core/bcm_conv.hpp"
 #include "numeric/rfft.hpp"
+#include "test_util.hpp"
 
 namespace rpbcm::core {
 namespace {
+
+using testutil::property_sample;
 
 struct LaneCase {
   std::size_t bs;
   bool hada;
   int alpha_pct;
 };
-
-// ±0 for `zero_eighths`/8 of the samples, a denormal of either sign for one
-// in sixteen of the rest, Gaussian over a few decades otherwise.
-float property_sample(std::mt19937_64& rng, std::uint64_t zero_eighths) {
-  const std::uint64_t r = rng();
-  const bool negative = (r & 1) != 0;
-  float v;
-  if ((r >> 1) % 8 < zero_eighths) {
-    v = 0.0F;
-  } else if ((r >> 4) % 16 == 0) {
-    v = std::numeric_limits<float>::denorm_min() *
-        static_cast<float>((r >> 8) % (1U << 23) + 1);
-  } else {
-    std::normal_distribution<float> g(0.0F, 1.0F);
-    v = g(rng) * std::ldexp(1.0F, static_cast<int>((r >> 8) % 13) - 6);
-  }
-  return negative ? -v : v;
-}
 
 // Prunes round(alpha·blocks) blocks in a seeded order; any alpha > 0 also
 // prunes every out-block of the last schedule row (kh = kw = K-1, bi = 0).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "test_util.hpp"
 
 namespace rpbcm::nn {
@@ -148,7 +150,32 @@ TEST(Conv2dTest, ReferenceMatchesLayerForward) {
   const auto x = random_tensor({2, 4, 6, 6}, 9);
   const auto y1 = conv.forward(x, false);
   const auto y2 = conv2d_reference(x, conv.weight().value, s);
-  EXPECT_LT(testutil::max_abs_diff(y1, y2), 1e-6);
+  ASSERT_EQ(y1.shape(), y2.shape());
+  EXPECT_EQ(std::memcmp(y1.data(), y2.data(), y1.size() * sizeof(float)), 0);
+}
+
+TEST(Conv2dTest, EvalForwardMatchesTrainAndKeepsNoInput) {
+  ConvSpec s;
+  s.in_channels = 3;
+  s.out_channels = 4;
+  s.kernel = 3;
+  s.stride = 1;
+  s.pad = 1;
+  numeric::Rng rng(10);
+  Conv2d conv(s, rng);
+  const auto x = random_tensor({2, 3, 5, 5}, 11);
+  const auto gy = random_tensor({2, 4, 5, 5}, 12);
+  const auto train = conv.forward(x, /*train=*/true);
+  // An eval forward after a training one drops the cached input, so the
+  // backward cannot use the stale training input.
+  conv.forward(random_tensor({2, 3, 5, 5}, 13), /*train=*/false);
+  EXPECT_THROW(conv.backward(gy), rpbcm::CheckError);
+  const auto eval = conv.forward(x, /*train=*/false);
+  ASSERT_EQ(eval.shape(), train.shape());
+  EXPECT_EQ(
+      std::memcmp(eval.data(), train.data(), eval.size() * sizeof(float)), 0);
+  conv.forward(x, /*train=*/true);  // a training forward re-arms backward
+  EXPECT_NO_THROW(conv.backward(gy));
 }
 
 }  // namespace

@@ -97,6 +97,26 @@ TEST(LinearTest, GradientCheck) {
   EXPECT_LT(input_grad_error(lin, x), 2e-2);
 }
 
+TEST(LinearTest, EvalForwardMatchesTrainAndKeepsNoInput) {
+  numeric::Rng rng(4);
+  Linear lin(5, 3, rng);
+  const auto x = random_tensor({2, 5}, 5);
+  const auto gy = random_tensor({2, 3}, 6);
+  const auto train = lin.forward(x, /*train=*/true);
+  // An eval forward after a training one drops the cached input, so the
+  // backward cannot use the stale training input.
+  const auto eval = lin.forward(random_tensor({2, 5}, 7), /*train=*/false);
+  EXPECT_THROW(lin.backward(gy), rpbcm::CheckError);
+  const auto again = lin.forward(x, /*train=*/false);
+  ASSERT_EQ(again.shape(), train.shape());
+  EXPECT_EQ(
+      std::memcmp(again.data(), train.data(), train.size() * sizeof(float)),
+      0);
+  EXPECT_EQ(eval.shape(), train.shape());
+  lin.forward(x, /*train=*/true);  // a training forward re-arms backward
+  EXPECT_NO_THROW(lin.backward(gy));
+}
+
 TEST(BatchNormTest, NormalizesTrainBatch) {
   BatchNorm2d bn(2);
   const auto x = random_tensor({4, 2, 5, 5}, 4, 2.0F);
@@ -131,6 +151,17 @@ TEST(BatchNormTest, EvalUsesRunningStats) {
   const auto y = bn.forward(x, false);
   // Input at the running mean should map near zero.
   EXPECT_NEAR(y[0], 0.0F, 0.2F);
+}
+
+TEST(BatchNormTest, EvalForwardKeepsNoBackwardState) {
+  BatchNorm2d bn(2);
+  const auto x = random_tensor({2, 2, 3, 3}, 6);
+  const auto gy = random_tensor(x.shape(), 7);
+  bn.forward(x, /*train=*/true);
+  bn.forward(x, /*train=*/false);
+  EXPECT_THROW(bn.backward(gy), rpbcm::CheckError);
+  bn.forward(x, /*train=*/true);  // a training forward re-arms backward
+  EXPECT_NO_THROW(bn.backward(gy));
 }
 
 TEST(BatchNormTest, GradientCheck) {

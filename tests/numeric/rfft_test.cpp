@@ -12,9 +12,12 @@
 #include "base/check.hpp"
 #include "numeric/fft.hpp"
 #include "numeric/random.hpp"
+#include "test_util.hpp"
 
 namespace rpbcm::numeric {
 namespace {
+
+using testutil::property_sample;
 
 std::vector<float> random_signal(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -96,25 +99,6 @@ TEST(RfftTest, TinySizesBySpecialCase) {
   irfft_soa(re2, im2, back2, TwiddleRom(2), s2);
   EXPECT_EQ(back2[0], 2.0F);
   EXPECT_EQ(back2[1], -1.0F);
-}
-
-// Sample mix for the bitwise property test: `zero_eighths`/8 of the samples
-// ±0, one in sixteen of the rest a denormal of either sign, the others
-// Gaussian over a few decades.
-float property_sample(std::mt19937_64& rng, std::uint64_t zero_eighths) {
-  const std::uint64_t r = rng();
-  const bool negative = (r & 1) != 0;
-  float v;
-  if ((r >> 1) % 8 < zero_eighths) {
-    v = 0.0F;
-  } else if ((r >> 4) % 16 == 0) {
-    v = std::numeric_limits<float>::denorm_min() *
-        static_cast<float>((r >> 8) % (1U << 23) + 1);
-  } else {
-    std::normal_distribution<float> g(0.0F, 1.0F);
-    v = g(rng) * std::ldexp(1.0F, static_cast<int>((r >> 8) % 13) - 6);
-  }
-  return negative ? -v : v;
 }
 
 // The generic packed transforms spelled out from public pieces: the m-point

@@ -1,7 +1,10 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,27 @@
 namespace rpbcm::testutil {
 
 using nn::Tensor;
+
+/// Sample mix for the bitwise property tests: `zero_eighths`/8 of the
+/// samples ±0, one in sixteen of the rest a denormal of either sign, the
+/// others Gaussian over a few decades — so a reordered, extra or skipped
+/// float operation shows in the sign of a zero or the last bit.
+inline float property_sample(std::mt19937_64& rng,
+                             std::uint64_t zero_eighths) {
+  const std::uint64_t r = rng();
+  const bool negative = (r & 1) != 0;
+  float v;
+  if ((r >> 1) % 8 < zero_eighths) {
+    v = 0.0F;
+  } else if ((r >> 4) % 16 == 0) {
+    v = std::numeric_limits<float>::denorm_min() *
+        static_cast<float>((r >> 8) % (1U << 23) + 1);
+  } else {
+    std::normal_distribution<float> g(0.0F, 1.0F);
+    v = g(rng) * std::ldexp(1.0F, static_cast<int>((r >> 8) % 13) - 6);
+  }
+  return negative ? -v : v;
+}
 
 /// Scalar probe loss: L = sum(y ⊙ coef) for a fixed random coefficient
 /// tensor, so dL/dy = coef. Lets us exercise any layer's backward pass with
