@@ -321,148 +321,189 @@ nn::Tensor BcmConv2d::infer_emac_irfft(const ActivationSpectra& spec) const {
 nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
   RPBCM_CHECK_MSG(!xspec_.re.empty(), "backward before forward");
   const std::size_t n = xspec_.samples, h = xspec_.height, w = xspec_.width;
-  const std::size_t ho = spec_.out_dim(h), wo = spec_.out_dim(w);
+  const lanes::ConvGeometry g = conv_geometry(spec_, layout_, *rom_, h, w);
+  const std::size_t ho = g.ho, wo = g.wo;
   RPBCM_CHECK(gy.rank() == 4 && gy.dim(0) == n &&
               gy.dim(1) == spec_.out_channels && gy.dim(2) == ho &&
               gy.dim(3) == wo);
-  const std::size_t bs = layout_.block_size;
-  const std::size_t nbi = layout_.in_blocks(), nbo = layout_.out_blocks();
-  const std::size_t k = spec_.kernel, stride = spec_.stride, pad = spec_.pad;
-
-  const std::size_t hb = numeric::half_bins(bs);
+  const std::size_t bs = g.bs, hb = g.hb, nbi = g.nbi, nbo = g.nbo;
+  const std::size_t k = g.k, s = g.stride, pad = g.pad;
   maybe_refresh_block_schedule();
   const numeric::TwiddleRom& rom = *rom_;
 
-  // Half spectra of the output gradient blocks. Each flattened output pixel
-  // owns its own gspec slice, so pixels are independent.
-  numeric::AlignedVec<float> gspec_re(n * ho * wo * nbo * hb);
-  numeric::AlignedVec<float> gspec_im(n * ho * wo * nbo * hb, 0.0F);
-  const float* gyd = gy.data();
-  base::parallel_for(0, n * ho * wo, kSpectrumGrain,
-                     [&](std::size_t q0, std::size_t q1) {
-    auto& scratch =
-        base::tls_scratch<numeric::cfloat>(0, numeric::rfft_scratch_size(bs));
-    auto& gather = base::tls_scratch<float>(0, bs);
-    for (std::size_t q = q0; q < q1; ++q) {
-      const std::size_t ni = q / (ho * wo);
-      const std::size_t oh = (q / wo) % ho;
-      const std::size_t ow = q % wo;
-      for (std::size_t bo = 0; bo < nbo; ++bo) {
-        const std::size_t base = (q * nbo + bo) * hb;
-        for (std::size_t c = 0; c < bs; ++c)
-          gather[c] =
-              gyd[((ni * spec_.out_channels + bo * bs + c) * ho + oh) * wo +
-                  ow];
-        numeric::rfft_soa(gather.data(), gspec_re.data() + base,
-                          gspec_im.data() + base, rom, scratch);
-      }
-    }
-  });
+  // gy rFFT: the forward's rFFT nest over a geometry whose input side is
+  // this layer's output side, so the gy spectra land pixel-minor per row,
+  // [n][oh][bo][bin][ow], like the forward's.
+  lanes::ConvGeometry gg = g;
+  gg.cin = g.cout;
+  gg.nbi = nbo;
+  gg.h = ho;
+  gg.w = wo;
+  const std::size_t gsize = n * ho * wo * nbo * hb;
+  numeric::AlignedVec<float> g_re(gsize), g_im(gsize);
+  const auto rfft = lanes::kernels().rfft_units;
+  base::parallel_for(
+      0, n * ho * nbo,
+      std::max<std::size_t>(1, kUnitPixels / std::max<std::size_t>(1, wo)),
+      [&](std::size_t u0, std::size_t u1) {
+        rfft(gg, gy.data(), g_re.data(), g_im.data(), u0, u1);
+      });
   RPBCM_OBS_COUNT("rpbcm.numeric.rfft.transforms", n * ho * wo * nbo);
 
-  // Frequency-domain accumulators for grad-input and grad-weight. Both
-  // conj(W)*G and conj(X)*G are products of real-signal spectra, hence
-  // Hermitian — the BS/2+1 bins carry the full gradient.
-  numeric::AlignedVec<float> gx_re(n * h * w * nbi * hb, 0.0F);
-  numeric::AlignedVec<float> gx_im(n * h * w * nbi * hb, 0.0F);
+  // gX = the forward eMAC+IFFT nest run over the transposed layer: block
+  // (kh, kw, bi, bo) becomes (k-1-kh, k-1-kw, bo, bi) with weight spectrum
+  // conj(W), at stride 1 and pad k-1-pad. Its per-accumulator order (kh',
+  // kw', bo ascending) is a per-pixel scatter's (oh, ow ascending, then
+  // bo), and a - (-w_im)·g is a + w_im·g exactly, so gx is bitwise that
+  // scatter's (docs/simd.md, "Backward as the transpose").
+  const BcmLayout tlay(k, spec_.out_channels, spec_.in_channels, bs);
   const std::size_t blocks = layout_.total_blocks();
-  numeric::AlignedVec<float> gw_re(blocks * hb, 0.0F);
-  numeric::AlignedVec<float> gw_im(blocks * hb, 0.0F);
-
-  // Partitioned by input block: every gx slice (keyed by (pixel, bi)) and
-  // every weight block blk = ((kh*k+kw)*nbi+bi)*nbo+bo belongs to exactly
-  // one bi, so the bi-outer loop is race-free. Within a bi the schedule
-  // iterates the surviving bo of each row in ascending order, so the
-  // contribution order into each accumulator matches the original
-  // ni/oh/ow/kh/kw/bo nest — bitwise identical to the serial code, with no
-  // skip branch in the inner loop (gX += conj(W)·G ; gW += conj(X)·G).
-  // The forward spectra are pixel-minor per row ([n][ih][bi][bin][iw]);
-  // each (bi, sample) is first gathered pixel-major ([ih][iw][bin]) into a
-  // per-thread buffer so the gradient kernel reads unit-stride bins.
-  const auto grad = numeric::emac::grad_acc_fn();
-  base::parallel_for(0, nbi, 1, [&](std::size_t bi0, std::size_t bi1) {
-    auto& xs_re = base::tls_scratch<float>(0, h * w * hb);
-    auto& xs_im = base::tls_scratch<float>(1, h * w * hb);
-    std::size_t bins = 0;
-    for (std::size_t bi = bi0; bi < bi1; ++bi) {
-      for (std::size_t ni = 0; ni < n; ++ni) {
-        for (std::size_t ih = 0; ih < h; ++ih) {
-          const std::size_t src = ((ni * h + ih) * nbi + bi) * hb * w;
-          for (std::size_t kb = 0; kb < hb; ++kb)
-            for (std::size_t iw = 0; iw < w; ++iw) {
-              xs_re[(ih * w + iw) * hb + kb] = xspec_.re[src + kb * w + iw];
-              xs_im[(ih * w + iw) * hb + kb] = xspec_.im[src + kb * w + iw];
-            }
+  std::vector<std::uint8_t> tskip(blocks);
+  numeric::AlignedVec<float> tw_re(blocks * hb), tw_im(blocks * hb);
+  for (std::size_t kh = 0; kh < k; ++kh)
+    for (std::size_t kw = 0; kw < k; ++kw)
+      for (std::size_t bi = 0; bi < nbi; ++bi)
+        for (std::size_t bo = 0; bo < nbo; ++bo) {
+          const std::size_t blk = layout_.block_id(kh, kw, bi, bo);
+          const std::size_t t = tlay.block_id(k - 1 - kh, k - 1 - kw, bo, bi);
+          tskip[t] = skip_[blk];
+          for (std::size_t kb = 0; kb < hb; ++kb) {
+            tw_re[t * hb + kb] = wspec_re_[blk * hb + kb];
+            tw_im[t * hb + kb] = -wspec_im_[blk * hb + kb];
+          }
         }
-        for (std::size_t oh = 0; oh < ho; ++oh) {
+  const BlockSchedule tsched = conv_row_schedule(tlay, tskip);
+  // The transposed conv reads gy +0-dilated by the stride (gy[oh][ow] at
+  // (oh·s, ow·s)) and padded by k-1-pad; a pad beyond k-1 crops instead.
+  // Its output is then exactly h×w. At stride 1 with pad <= k-1 the gy
+  // spectra are read as they are; otherwise they are scattered into a +0
+  // plane of the transposed input's size.
+  const std::size_t crop = pad > k - 1 ? pad - (k - 1) : 0;
+  lanes::ConvGeometry gt = gg;
+  gt.nbo = nbi;
+  gt.cout = g.cin;
+  gt.stride = 1;
+  gt.pad = k - 1 + crop - pad;
+  gt.h = h + k - 1 - 2 * gt.pad;
+  gt.w = w + k - 1 - 2 * gt.pad;
+  gt.ho = h;
+  gt.wo = w;
+  lanes::EmacInputs tin;
+  tin.w_re = tw_re.data();
+  tin.w_im = tw_im.data();
+  tin.offsets = tsched.offsets.data();
+  tin.entries = tsched.entries.data();
+  tin.x_re = g_re.data();
+  tin.x_im = g_im.data();
+  tin.x_size = gsize;
+  numeric::AlignedVec<float> d_re, d_im;
+  if (s != 1 || crop != 0) {
+    tin.x_size = n * gt.h * gt.w * nbo * hb;
+    d_re.assign(tin.x_size, 0.0F);
+    d_im.assign(tin.x_size, 0.0F);
+    for (std::size_t ni = 0; ni < n; ++ni)
+      for (std::size_t oh = 0; oh < ho; ++oh) {
+        if (oh * s < crop || oh * s - crop >= gt.h) continue;
+        const std::size_t rt = oh * s - crop;
+        for (std::size_t r = 0; r < nbo * hb; ++r) {
+          const std::size_t src = ((ni * ho + oh) * nbo * hb + r) * wo;
+          const std::size_t dst = ((ni * gt.h + rt) * nbo * hb + r) * gt.w;
           for (std::size_t ow = 0; ow < wo; ++ow) {
-            const std::size_t g_base = ((ni * ho + oh) * wo + ow) * nbo * hb;
-            for (std::size_t kh = 0; kh < k; ++kh) {
-              const long ih =
-                  static_cast<long>(oh * stride + kh) - static_cast<long>(pad);
-              if (ih < 0 || ih >= static_cast<long>(h)) continue;
-              for (std::size_t kw = 0; kw < k; ++kw) {
-                const long iw =
-                    static_cast<long>(ow * stride + kw) -
-                    static_cast<long>(pad);
-                if (iw < 0 || iw >= static_cast<long>(w)) continue;
-                const std::size_t pix_base =
-                    (((ni * h + static_cast<std::size_t>(ih)) * w +
-                      static_cast<std::size_t>(iw)) *
-                     nbi) *
-                    hb;
-                const std::size_t row = (kh * k + kw) * nbi + bi;
-                const std::size_t xs_base =
-                    (static_cast<std::size_t>(ih) * w +
-                     static_cast<std::size_t>(iw)) *
-                    hb;
-                const float* xr = xs_re.data() + xs_base;
-                const float* xi = xs_im.data() + xs_base;
-                float* gxr = gx_re.data() + pix_base + bi * hb;
-                float* gxi = gx_im.data() + pix_base + bi * hb;
-                for (const auto* it = sched_rows_.begin(row);
-                     it != sched_rows_.end(row); ++it) {
-                  grad(gxr, gxi, gw_re.data() + it->blk * hb,
-                       gw_im.data() + it->blk * hb,
-                       wspec_re_.data() + it->blk * hb,
-                       wspec_im_.data() + it->blk * hb, xr, xi,
-                       gspec_re.data() + g_base + it->pos * hb,
-                       gspec_im.data() + g_base + it->pos * hb, hb);
-                }
-                bins += hb * sched_rows_.group_size(row);
-              }
-            }
+            if (ow * s < crop || ow * s - crop >= gt.w) continue;
+            d_re[dst + ow * s - crop] = g_re[src + ow];
+            d_im[dst + ow * s - crop] = g_im[src + ow];
           }
         }
       }
+    tin.x_re = d_re.data();
+    tin.x_im = d_im.data();
+  }
+  nn::Tensor gx({n, spec_.in_channels, h, w});
+  float* gxd = gx.data();
+  const auto emac = lanes::kernels().emac_irfft_tiles;
+  const std::size_t tile_work = k * k * nbi * nbo * lanes::tile_rows(h, w) *
+                                lanes::lane_count(w);
+  base::parallel_for(
+      0, n * lanes::tiles_per_sample(h, w),
+      std::max<std::size_t>(1, kTileWork / std::max<std::size_t>(1, tile_work)),
+      [&](std::size_t t0, std::size_t t1) {
+        auto& scratch =
+            base::tls_scratch<float>(0, lanes::emac_scratch_floats(gt));
+        // Bins are counted once, by the gW pass below: this nest would also
+        // count taps that land on dilation zeros.
+        emac(gt, tin, gxd, t0, t1, scratch.data());
+      });
+  RPBCM_OBS_COUNT("rpbcm.numeric.irfft.transforms", n * h * w * nbi);
+
+  // gW: each surviving block sums conj(X)·G over (ni, oh, ow) ascending,
+  // reading the forward's and gy's pixel-minor spectra in place (a product
+  // of real-signal spectra is Hermitian, so the BS/2+1 bins carry the full
+  // gradient). One task per schedule row (kh, kw, bi); its blocks are
+  // disjoint from every other row's and they share X. Taps outside the map
+  // are skipped by range, so the bins counted are those of real gy pixels'
+  // in-map taps.
+  numeric::AlignedVec<float> gw_re(blocks * hb, 0.0F);
+  numeric::AlignedVec<float> gw_im(blocks * hb, 0.0F);
+  const auto first_in = [&](std::size_t tap, std::size_t out) {
+    // First output index whose tap lands at input index >= 0.
+    return std::min(out, tap >= pad ? 0 : (pad - tap + s - 1) / s);
+  };
+  const auto end_in = [&](std::size_t tap, std::size_t in, std::size_t out) {
+    // One past the last output index whose tap lands at input < in.
+    return std::min(out, in + pad > tap ? (in + pad - tap - 1) / s + 1 : 0);
+  };
+  base::parallel_for(0, k * k * nbi, 1, [&](std::size_t r0, std::size_t r1) {
+    // A row sums into task scratch and stores its blocks once: the blocks
+    // of neighbouring rows share cache lines in gw_re/gw_im.
+    auto& acc = base::tls_scratch<float>(0, 2 * nbo * hb);
+    std::size_t bins = 0;
+    for (std::size_t row = r0; row < r1; ++row) {
+      const auto* e0 = sched_rows_.begin(row);
+      const auto* e1 = sched_rows_.end(row);
+      if (e0 == e1) continue;
+      const std::size_t kh = row / (k * nbi), kw = row / nbi % k;
+      const std::size_t bi = row % nbi;
+      const std::size_t oh0 = first_in(kh, ho), oh1 = end_in(kh, h, ho);
+      const std::size_t ow0 = first_in(kw, wo), ow1 = end_in(kw, w, wo);
+      if (oh0 >= oh1 || ow0 >= ow1) continue;
+      const std::size_t m = static_cast<std::size_t>(e1 - e0);
+      bins += n * (oh1 - oh0) * (ow1 - ow0) * hb * m;
+      float* acc_re = acc.data();  // [entry][bin]
+      float* acc_im = acc_re + m * hb;
+      std::fill(acc_re, acc_im + m * hb, 0.0F);
+      for (std::size_t ni = 0; ni < n; ++ni)
+        for (std::size_t oh = oh0; oh < oh1; ++oh) {
+          // Input pixel (ih, iw0) is output pixel (oh, ow0)'s tap.
+          const std::size_t ih = oh * s + kh - pad, iw0 = ow0 * s + kw - pad;
+          const std::size_t xo = ((ni * h + ih) * nbi + bi) * hb * w + iw0;
+          const float* xr = xspec_.re.data() + xo;
+          const float* xi = xspec_.im.data() + xo;
+          for (std::size_t j = 0; j < m; ++j) {
+            const std::size_t go =
+                ((ni * ho + oh) * nbo + e0[j].pos) * hb * wo;
+            for (std::size_t kb = 0; kb < hb; ++kb) {
+              const float* gr = g_re.data() + go + kb * wo;
+              const float* gi = g_im.data() + go + kb * wo;
+              float a_re = acc_re[j * hb + kb], a_im = acc_im[j * hb + kb];
+              for (std::size_t ow = ow0; ow < ow1; ++ow) {
+                const float x_re = xr[kb * w + (ow - ow0) * s];
+                const float x_im = xi[kb * w + (ow - ow0) * s];
+                a_re += x_re * gr[ow] + x_im * gi[ow];
+                a_im += x_re * gi[ow] - x_im * gr[ow];
+              }
+              acc_re[j * hb + kb] = a_re;
+              acc_im[j * hb + kb] = a_im;
+            }
+          }
+        }
+      for (std::size_t j = 0; j < m; ++j)
+        for (std::size_t kb = 0; kb < hb; ++kb) {
+          gw_re[e0[j].blk * hb + kb] = acc_re[j * hb + kb];
+          gw_im[e0[j].blk * hb + kb] = acc_im[j * hb + kb];
+        }
     }
     numeric::emac::note_bins(bins);
   });
-
-  // Grad-input back to the time domain; each flattened input pixel is
-  // independent.
-  nn::Tensor gx({n, spec_.in_channels, h, w});
-  float* gxd = gx.data();
-  base::parallel_for(0, n * h * w, kSpectrumGrain,
-                     [&](std::size_t p0, std::size_t p1) {
-    auto& scratch =
-        base::tls_scratch<numeric::cfloat>(0, numeric::rfft_scratch_size(bs));
-    auto& block = base::tls_scratch<float>(0, bs);
-    for (std::size_t p = p0; p < p1; ++p) {
-      const std::size_t ni = p / (h * w);
-      const std::size_t ih = (p / w) % h;
-      const std::size_t iw = p % w;
-      for (std::size_t bi = 0; bi < nbi; ++bi) {
-        const std::size_t base = (p * nbi + bi) * hb;
-        numeric::irfft_soa(gx_re.data() + base, gx_im.data() + base,
-                           block.data(), rom, scratch);
-        for (std::size_t c = 0; c < bs; ++c)
-          gxd[((ni * spec_.in_channels + bi * bs + c) * h + ih) * w + iw] =
-              block[c];
-      }
-    }
-  });
-  RPBCM_OBS_COUNT("rpbcm.numeric.irfft.transforms", n * h * w * nbi);
 
   // Grad of the defining vectors; chain through the Hadamard factors
   // (Eq. (1): dL/dA = dL/dW ⊙ B, dL/dB = dL/dW ⊙ A). Blocks are disjoint.

@@ -37,7 +37,11 @@ enum class BcmParameterization {
 /// Pruned blocks are skipped in both passes — the software analogue of the
 /// skip-index scheme of Section IV-B. forward() is the staged inference
 /// path below run into the layer's own ActivationSpectra, which backward()
-/// then reads.
+/// then reads. backward() runs the same lane nests (core/conv_lanes.hpp):
+/// the rFFT nest over gy, the eMAC+IFFT nest over the transposed layer
+/// (conj weights) for the input gradient, and one conj(X)·G nest over the
+/// two spectra for the weight gradient (docs/simd.md, "Backward as the
+/// transpose").
 class BcmConv2d : public nn::Layer {
  public:
   BcmConv2d(nn::ConvSpec spec, std::size_t block_size,

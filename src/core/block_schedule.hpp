@@ -20,6 +20,8 @@ namespace rpbcm::core {
 /// K=1 case) rebuilds it lazily off mask_version_, alongside the
 /// weight-spectrum cache (rpbcm.core.sched.{rebuilds,cache_hits}), and the
 /// Q7.8 functional model (hw::bcm_conv_fixed_point) walks the same one.
+/// BcmConv2d::backward builds one more per call, over the transposed
+/// layer's permuted skip index, for its input-gradient pass.
 struct BlockSchedule {
   /// One surviving block. `pos` is its out-block bo; `blk` is the flat
   /// block id into the weight planes.
@@ -48,8 +50,8 @@ struct BlockSchedule {
 };
 
 /// Conv schedule: group = (kh*K+kw)*in_blocks+bi (one "row" of the weight
-/// plane), entries (pos=bo, blk) ascending in bo. The forward and backward
-/// conv nests share this row-major order.
+/// plane), entries (pos=bo, blk) ascending in bo. The forward eMAC nest and
+/// the backward's weight-gradient nest walk this row-major order.
 BlockSchedule conv_row_schedule(const BcmLayout& layout,
                                 const std::vector<std::uint8_t>& skip);
 

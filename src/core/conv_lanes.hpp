@@ -9,10 +9,11 @@
 namespace rpbcm::core::lanes {
 
 /// The pixel-lane kernels behind BcmConv2d::infer_rfft and
-/// infer_emac_irfft: one loop nest per stage, vectorized across L
-/// neighbouring pixels — of one row, or of 2 rows × 4 columns on narrow
-/// maps (the CPU form of the paper's p parallel eMAC PEs sharing one
-/// weight spectrum, Section IV-B). The nests live once
+/// infer_emac_irfft, which BcmConv2d::backward also runs (over gy, and over
+/// the transposed layer for the input gradient): one loop nest per stage,
+/// vectorized across L neighbouring pixels — of one row, or of 2 rows × 4
+/// columns on narrow maps (the CPU form of the paper's p parallel eMAC PEs
+/// sharing one weight spectrum, Section IV-B). The nests live once
 /// in core/conv_lanes_impl.hpp and are compiled into a portable TU and an
 /// AVX2 TU (-mavx2 -ffp-contract=off); kernels() picks one behind the
 /// process-wide RPBCM_SIMD dispatch (numeric::emac::active_path). Every lane

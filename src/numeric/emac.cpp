@@ -8,30 +8,17 @@
 
 namespace rpbcm::numeric::emac {
 
-void mul_acc_scalar(float* acc_re, float* acc_im, const float* w_re,
-                    const float* w_im, const float* x_re, const float* x_im,
-                    std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    acc_re[k] += w_re[k] * x_re[k] - w_im[k] * x_im[k];
-    acc_im[k] += w_re[k] * x_im[k] + w_im[k] * x_re[k];
-  }
-}
-
-void grad_acc_scalar(float* gx_re, float* gx_im, float* gw_re, float* gw_im,
-                     const float* w_re, const float* w_im, const float* x_re,
-                     const float* x_im, const float* g_re, const float* g_im,
-                     std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    gx_re[k] += w_re[k] * g_re[k] + w_im[k] * g_im[k];
-    gx_im[k] += w_re[k] * g_im[k] - w_im[k] * g_re[k];
-    gw_re[k] += x_re[k] * g_re[k] + x_im[k] * g_im[k];
-    gw_im[k] += x_re[k] * g_im[k] - x_im[k] * g_re[k];
-  }
-}
-
 bool avx2_supported() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+bool avx2_compiled() {
+#if defined(RPBCM_EMAC_AVX2)
+  return true;
 #else
   return false;
 #endif
@@ -43,13 +30,7 @@ const char* path_name(Path p) {
 
 namespace {
 
-struct Dispatch {
-  Path path = Path::kScalar;
-  MulAccFn mul = &mul_acc_scalar;
-  GradAccFn grad = &grad_acc_scalar;
-};
-
-Dispatch resolve() {
+Path resolve() {
   Path path =
       (avx2_compiled() && avx2_supported()) ? Path::kAvx2 : Path::kScalar;
   if (const char* env = std::getenv("RPBCM_SIMD")) {
@@ -72,24 +53,19 @@ Dispatch resolve() {
   // a deployment resolved to.
   RPBCM_OBS_GAUGE("rpbcm.numeric.emac.dispatch",
                   path == Path::kAvx2 ? 1.0 : 0.0);
-  if (path == Path::kAvx2) return {path, &mul_acc_avx2, &grad_acc_avx2};
-  return {path, &mul_acc_scalar, &grad_acc_scalar};
+  return path;
 }
+
+}  // namespace
 
 // Resolved once, before main() spawns any pool: the magic static is
 // thread-safe and the result never changes, so every caller for the
 // process lifetime sees the same kernels (the serving engine's concurrent
 // stage threads rely on this).
-const Dispatch& dispatch() {
-  static const Dispatch d = resolve();
-  return d;
+Path active_path() {
+  static const Path p = resolve();
+  return p;
 }
-
-}  // namespace
-
-Path active_path() { return dispatch().path; }
-MulAccFn mul_acc_fn() { return dispatch().mul; }
-GradAccFn grad_acc_fn() { return dispatch().grad; }
 
 void note_bins(std::size_t bins) {
   RPBCM_OBS_COUNT("rpbcm.numeric.emac.bins", bins);

@@ -4,37 +4,17 @@
 
 namespace rpbcm::numeric::emac {
 
-/// Frequency-domain elementwise-MAC kernels — the C_emac inner loops of the
-/// FFT→eMAC→IFFT pipeline, over unit-stride split-complex SoA bins.
+/// The process-wide SIMD dispatch choice of the C_emac datapath — the
+/// FFT→eMAC→IFFT pipeline's pixel-lane kernels (core/conv_lanes.hpp, and
+/// the dense nn/conv2d_lanes.hpp) — plus its bin counter.
 ///
-/// Two implementations share each signature: a portable scalar kernel and
-/// an AVX2 variant selected once per process (cpuid probe, overridable via
-/// the RPBCM_SIMD environment variable and compiled out entirely with
-/// -DRPBCM_SIMD=OFF). Both vectorize ACROSS frequency bins only: bin k of
-/// an accumulator is always the same chain of separately-rounded mul/sub/
-/// add operations regardless of path, so dispatched results are bitwise
-/// identical to the scalar path, to the committed golden vectors, and
-/// across thread counts (docs/simd.md has the full determinism argument).
+/// Each lane-kernel family is compiled twice, portable and AVX2 (-mavx2
+/// -mfma -ffp-contract=off, only with RPBCM_SIMD=ON on x86-64), and picks
+/// the copy by active_path(). Both copies are bitwise identical, to the
+/// committed golden vectors and across thread counts (docs/simd.md has
+/// the determinism argument).
 
-/// Forward eMAC: acc += W ⊗ X over n bins,
-///   acc_re[k] += w_re[k]*x_re[k] - w_im[k]*x_im[k]
-///   acc_im[k] += w_re[k]*x_im[k] + w_im[k]*x_re[k]
-using MulAccFn = void (*)(float* acc_re, float* acc_im, const float* w_re,
-                          const float* w_im, const float* x_re,
-                          const float* x_im, std::size_t n);
-
-/// Fused backward eMAC: gX += conj(W)·G and gW += conj(X)·G over n bins,
-///   gx_re[k] += w_re[k]*g_re[k] + w_im[k]*g_im[k]
-///   gx_im[k] += w_re[k]*g_im[k] - w_im[k]*g_re[k]
-///   gw_re[k] += x_re[k]*g_re[k] + x_im[k]*g_im[k]
-///   gw_im[k] += x_re[k]*g_im[k] - x_im[k]*g_re[k]
-using GradAccFn = void (*)(float* gx_re, float* gx_im, float* gw_re,
-                           float* gw_im, const float* w_re, const float* w_im,
-                           const float* x_re, const float* x_im,
-                           const float* g_re, const float* g_im,
-                           std::size_t n);
-
-/// Which kernel family the process dispatched to.
+/// Which kernel copy the process dispatched to.
 enum class Path { kScalar, kAvx2 };
 
 /// "scalar" / "avx2" — the value exported on rpbcm.numeric.emac.dispatch.
@@ -43,39 +23,14 @@ const char* path_name(Path p);
 /// True when this CPU reports AVX2 and FMA (false on non-x86 builds).
 bool avx2_supported();
 
-/// True when the AVX2 kernels were compiled into this binary (RPBCM_SIMD=ON
-/// on an x86-64 target — see src/numeric/CMakeLists.txt).
+/// True when the AVX2 kernel copies were compiled into this binary
+/// (RPBCM_SIMD=ON on an x86-64 target — see src/numeric/CMakeLists.txt).
 bool avx2_compiled();
 
 /// The path resolved on first use: AVX2 iff compiled in AND supported by
 /// the CPU, overridable with RPBCM_SIMD=off|avx2. Sticky for the process
 /// lifetime, so concurrent callers always agree.
 Path active_path();
-
-/// Dispatched kernels. Hoist the pointer out of hot loops:
-///   const auto mul = numeric::emac::mul_acc_fn();
-MulAccFn mul_acc_fn();
-GradAccFn grad_acc_fn();
-
-/// Reference kernels — always compiled. The dispatch target on scalar
-/// hosts and the ground truth of the bitwise-equality tests.
-void mul_acc_scalar(float* acc_re, float* acc_im, const float* w_re,
-                    const float* w_im, const float* x_re, const float* x_im,
-                    std::size_t n);
-void grad_acc_scalar(float* gx_re, float* gx_im, float* gw_re, float* gw_im,
-                     const float* w_re, const float* w_im, const float* x_re,
-                     const float* x_im, const float* g_re, const float* g_im,
-                     std::size_t n);
-
-/// AVX2 kernels. Defined as hard CHECK failures when compiled out
-/// (avx2_compiled() == false); never dispatched to in that case.
-void mul_acc_avx2(float* acc_re, float* acc_im, const float* w_re,
-                  const float* w_im, const float* x_re, const float* x_im,
-                  std::size_t n);
-void grad_acc_avx2(float* gx_re, float* gx_im, float* gw_re, float* gw_im,
-                   const float* w_re, const float* w_im, const float* x_re,
-                   const float* x_im, const float* g_re, const float* g_im,
-                   std::size_t n);
 
 /// Adds `bins` to the rpbcm.numeric.emac.bins counter. Call once per
 /// parallel chunk with the chunk's accumulated bin count — not per block —

@@ -23,7 +23,7 @@
 //     floor on top of the relative ratio gate (the serve stage of
 //     tools/ci.sh uses it to enforce batched >= 2x single-request).
 //     Rows may also carry their own "min_speedup" field (written by the
-//     bench, e.g. 1.5x for the dispatched eMAC kernel on AVX2 hosts, 0 /
+//     bench, e.g. 1.6x for the AVX2 lane eMAC nest on AVX2 hosts, 0 /
 //     absent on hosts where no win is possible); a current row below its
 //     self-declared floor fails regardless of the CLI flags.
 //
