@@ -27,7 +27,9 @@
 #include "core/conv_lanes.hpp"
 #include "hw/emac_pe.hpp"
 #include "hw/fft_pe.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/pool.hpp"
 #include "numeric/aligned.hpp"
 #include "numeric/emac.hpp"
 #include "numeric/fft.hpp"
@@ -189,6 +191,39 @@ void BM_DenseConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseConvBackward)->Args({3, 32, 16, 16});
+
+// One training forward + backward of a mask layer at the VGG proxy's
+// first-stage activation shape (16x32x16x16): the ReLU's byte mask, and the
+// 2x2 max-pool's in-window argmax.
+template <typename LayerT>
+void train_mask_step(benchmark::State& state, LayerT& layer) {
+  numeric::Rng rng(9);
+  tensor::Tensor x({16, 32, 16, 16});
+  tensor::fill_gaussian(x, rng);
+  tensor::Tensor gy = layer.forward(x, true);
+  tensor::fill_gaussian(gy, rng);
+  // The outputs live until the next step's replace them, as in a training
+  // loop; freeing both at once would return them to the OS every step.
+  tensor::Tensor y, gx;
+  for (auto _ : state) {
+    y = layer.forward(x, true);
+    gx = layer.backward(gy);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(gx.data());
+  }
+}
+
+void BM_ReluTrain(benchmark::State& state) {
+  nn::ReLU relu;
+  train_mask_step(state, relu);
+}
+BENCHMARK(BM_ReluTrain);
+
+void BM_MaxPoolTrain(benchmark::State& state) {
+  nn::MaxPool2d pool(2);
+  train_mask_step(state, pool);
+}
+BENCHMARK(BM_MaxPoolTrain);
 
 void BM_BcmConvForward(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));

@@ -1,12 +1,14 @@
 #pragma once
 
+#include <cstdint>
+
 #include "nn/layer.hpp"
 
 namespace rpbcm::nn {
 
 /// Rectified linear unit. A training-mode forward caches the activation
-/// mask for backward; an eval-mode forward keeps none, so backward after
-/// it throws CheckError.
+/// mask for backward (one byte per element, 1 where x > 0); an eval-mode
+/// forward keeps none, so backward after it throws CheckError.
 class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
@@ -14,7 +16,7 @@ class ReLU : public Layer {
   std::string name() const override { return "ReLU"; }
 
  private:
-  std::vector<bool> mask_;
+  std::vector<std::uint8_t> mask_;
   std::vector<std::size_t> cached_shape_;
 };
 

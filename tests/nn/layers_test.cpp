@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -202,6 +206,212 @@ TEST(MaxPoolTest, IndivisibleDimsRejected) {
   MaxPool2d pool(2);
   EXPECT_THROW(pool.forward(random_tensor({1, 1, 3, 4}), true),
                rpbcm::CheckError);
+}
+
+TEST(MaxPoolTest, NonFiniteWindowRoutesInsideItsWindow) {
+  // Three 2x2 windows on one row pair: finite, all NaN, all -inf. The two
+  // non-finite windows output -inf and send their gradient to their own
+  // first element, not to the plane's.
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  MaxPool2d pool(2);
+  Tensor x({1, 1, 2, 6});
+  const float v[] = {1.0F, 5.0F, kNan, kNan, -kInf, -kInf,
+                     -3.0F, 2.0F, kNan, kNan, -kInf, -kInf};
+  std::copy(std::begin(v), std::end(v), x.data());
+  const auto y = pool.forward(x, true);
+  ASSERT_EQ(y.size(), 3u);
+  EXPECT_EQ(y[0], 5.0F);
+  EXPECT_EQ(y[1], -kInf);
+  EXPECT_EQ(y[2], -kInf);
+  Tensor gy({1, 1, 1, 3});
+  gy[0] = 7.0F;
+  gy[1] = 11.0F;
+  gy[2] = 13.0F;
+  const auto g = pool.backward(gy);
+  const float want[] = {0.0F, 7.0F, 11.0F, 0.0F, 13.0F, 0.0F,
+                        0.0F, 0.0F, 0.0F,  0.0F, 0.0F,  0.0F};
+  for (std::size_t i = 0; i < g.size(); ++i)
+    EXPECT_EQ(g[i], want[i]) << "element " << i;
+}
+
+TEST(MaxPoolTest, EvalForwardKeepsNoArgmax) {
+  MaxPool2d pool(2);
+  const auto x = random_tensor({2, 3, 4, 6}, 9);
+  const auto gy = random_tensor({2, 3, 2, 3}, 10);
+  const auto train = pool.forward(x, /*train=*/true);
+  const auto eval = pool.forward(x, /*train=*/false);
+  ASSERT_EQ(eval.shape(), train.shape());
+  EXPECT_EQ(std::memcmp(eval.data(), train.data(), eval.size() * sizeof(float)),
+            0);
+  EXPECT_THROW(pool.backward(gy), rpbcm::CheckError);
+  pool.forward(x, /*train=*/true);  // a training forward re-arms backward
+  EXPECT_NO_THROW(pool.backward(gy));
+}
+
+// Bitwise oracles for the branch-free training loops: copies of the
+// branching loops they replaced (a std::vector<bool> ReLU mask, and a
+// max-pool argmax picked by `if (v > best)` with a plane-wide index), run
+// on inputs full of ±0, ±denorm_min, ±inf, ±NaN and ties. The only change
+// to the old pool loop is the start index of a window with nothing above
+// -inf: its own first element, where the old loop used the plane's.
+namespace mask_oracle {
+
+Tensor relu_forward(const Tensor& x, std::vector<bool>& mask) {
+  Tensor y(x.shape());
+  const float* xd = x.data();
+  float* yd = y.data();
+  mask.assign(x.size(), false);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const bool on = xd[i] > 0.0F;
+    mask[i] = on;
+    yd[i] = on ? xd[i] : 0.0F;
+  }
+  return y;
+}
+
+Tensor relu_backward(const Tensor& gy, const std::vector<bool>& mask) {
+  Tensor gx(gy.shape());
+  const float* gd = gy.data();
+  float* od = gx.data();
+  for (std::size_t i = 0; i < gy.size(); ++i) od[i] = mask[i] ? gd[i] : 0.0F;
+  return gx;
+}
+
+Tensor pool_forward(const Tensor& x, std::size_t k,
+                    std::vector<std::size_t>& argmax) {
+  const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t ho = h / k, wo = w / k;
+  Tensor y({n, c, ho, wo});
+  argmax.assign(y.size(), 0);
+  const float* xd = x.data();
+  float* yd = y.data();
+  for (std::size_t nc = 0; nc < n * c; ++nc) {
+    const float* plane = xd + nc * h * w;
+    for (std::size_t oh = 0; oh < ho; ++oh) {
+      for (std::size_t ow = 0; ow < wo; ++ow) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = (oh * k) * w + ow * k;
+        for (std::size_t dh = 0; dh < k; ++dh) {
+          for (std::size_t dw = 0; dw < k; ++dw) {
+            const std::size_t idx = (oh * k + dh) * w + (ow * k + dw);
+            if (plane[idx] > best) {
+              best = plane[idx];
+              best_idx = idx;
+            }
+          }
+        }
+        const std::size_t oidx = (nc * ho + oh) * wo + ow;
+        yd[oidx] = best;
+        argmax[oidx] = nc * h * w + best_idx;
+      }
+    }
+  }
+  return y;
+}
+
+Tensor pool_backward(const Tensor& gy, const std::vector<std::size_t>& shape,
+                     const std::vector<std::size_t>& argmax) {
+  Tensor gx(shape);
+  float* gxd = gx.data();
+  const float* gyd = gy.data();
+  for (std::size_t i = 0; i < gy.size(); ++i) gxd[argmax[i]] += gyd[i];
+  return gx;
+}
+
+// A quarter specials, a quarter from {-1, +1, 2} (ties), the rest the
+// property-test mix (±0, denormals, Gaussians over a few decades).
+float sample(std::mt19937_64& rng) {
+  constexpr float kSpecials[] = {0.0F,
+                                 -0.0F,
+                                 std::numeric_limits<float>::denorm_min(),
+                                 -std::numeric_limits<float>::denorm_min(),
+                                 std::numeric_limits<float>::infinity(),
+                                 -std::numeric_limits<float>::infinity(),
+                                 std::numeric_limits<float>::quiet_NaN(),
+                                 -std::numeric_limits<float>::quiet_NaN()};
+  constexpr float kTies[] = {-1.0F, 1.0F, 2.0F};
+  const std::uint64_t r = rng();
+  switch (r % 4) {
+    case 0:
+      return kSpecials[(r >> 2) % std::size(kSpecials)];
+    case 1:
+      return kTies[(r >> 2) % std::size(kTies)];
+    default:
+      return testutil::property_sample(rng, 1);
+  }
+}
+
+Tensor sample_tensor(std::vector<std::size_t> shape, std::uint64_t seed) {
+  Tensor t(std::move(shape));
+  std::mt19937_64 rng(seed);
+  for (std::size_t i = 0; i < t.size(); ++i) t[i] = sample(rng);
+  return t;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+constexpr std::size_t kWidths[] = {1, 2, 5, 8, 16, 17};
+constexpr std::size_t kBatches[] = {1, 16};
+
+}  // namespace mask_oracle
+
+TEST(TrainMaskEquivalence, ReluMatchesBoolMaskLoops) {
+  using namespace mask_oracle;
+  std::uint64_t seed = 1;
+  for (const std::size_t n : kBatches) {
+    for (const std::size_t w : kWidths) {
+      SCOPED_TRACE("batch " + std::to_string(n) + " width " +
+                   std::to_string(w));
+      const Tensor x = sample_tensor({n, 3, 3, w}, seed++);
+      const Tensor gy = sample_tensor(x.shape(), seed++);
+      ReLU relu;
+      std::vector<bool> mask;
+      EXPECT_TRUE(same_bits(relu.forward(x, true), relu_forward(x, mask)));
+      EXPECT_TRUE(same_bits(relu.backward(gy), relu_backward(gy, mask)));
+    }
+  }
+}
+
+TEST(TrainMaskEquivalence, MaxPoolMatchesBranchingLoops) {
+  using namespace mask_oracle;
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::uint64_t seed = 100;
+  for (const std::size_t k : {std::size_t{2}, std::size_t{3}}) {
+    for (const std::size_t n : kBatches) {
+      for (const std::size_t wo : kWidths) {
+        SCOPED_TRACE("k " + std::to_string(k) + " batch " +
+                     std::to_string(n) + " out width " + std::to_string(wo));
+        const std::size_t h = 2 * k, w = wo * k;
+        Tensor x = sample_tensor({n, 3, h, w}, seed++);
+        // Per plane, three windows of the first row that random draws
+        // rarely make: all NaN (even planes) or -inf and NaN (odd), a ±0
+        // tie, and an all-equal tie.
+        for (std::size_t nc = 0; nc < n * 3; ++nc) {
+          float* plane = x.data() + nc * h * w;
+          for (std::size_t dh = 0; dh < k; ++dh) {
+            for (std::size_t dw = 0; dw < k; ++dw) {
+              const std::size_t at = dh * w + dw, j = dh * k + dw;
+              plane[at] = nc % 2 == 0 || j % 2 == 0 ? kNan : -kInf;
+              if (wo > 1) plane[at + k] = j % 2 == 0 ? -0.0F : 0.0F;
+              if (wo > 2) plane[at + 2 * k] = 2.0F;
+            }
+          }
+        }
+        const Tensor gy = sample_tensor({n, 3, 2, wo}, seed++);
+        MaxPool2d pool(k);
+        std::vector<std::size_t> argmax;
+        EXPECT_TRUE(
+            same_bits(pool.forward(x, true), pool_forward(x, k, argmax)));
+        EXPECT_TRUE(same_bits(pool.backward(gy),
+                              pool_backward(gy, x.shape(), argmax)));
+      }
+    }
+  }
 }
 
 TEST(GlobalAvgPoolTest, ForwardAndBackward) {

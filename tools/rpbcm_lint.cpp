@@ -45,6 +45,12 @@
 //                    (docs/robustness.md) — so RPBCM_FAULTS configs stay
 //                    greppable and collision-free. Dynamically built names
 //                    are not checked.
+//   no-vector-bool   no std::vector<bool> in src/ — its elements are bits
+//                    behind proxy objects, so every read and write is a
+//                    shift-and-mask the compiler cannot vectorize (the
+//                    training masks were scalar, branchy loops for this
+//                    reason); keep one byte per flag, or pack bits a whole
+//                    word at a time
 //
 // A finding may be waived on its line with `// rpbcm-lint: allow(<rule>)`.
 // Waivers are themselves checked: a waiver that suppresses nothing is
@@ -783,6 +789,39 @@ void check_no_std_reduce(const fs::path& file, const std::string& code) {
   }
 }
 
+// --- rule: no-vector-bool --------------------------------------------------
+
+void check_no_vector_bool(const fs::path& file, const std::string& code) {
+  static constexpr std::string_view kVector = "vector";
+  std::size_t pos = 0;
+  while ((pos = code.find(kVector, pos)) != std::string::npos) {
+    const std::size_t at = pos;
+    pos += kVector.size();
+    if (at > 0 && is_ident_char(code[at - 1])) continue;
+    // `vector` `<` `bool` `>`, with any whitespace between the tokens.
+    std::size_t i = pos;
+    auto skip_ws = [&] {
+      while (i < code.size() &&
+             std::isspace(static_cast<unsigned char>(code[i])))
+        ++i;
+    };
+    skip_ws();
+    if (i >= code.size() || code[i] != '<') continue;
+    ++i;
+    skip_ws();
+    if (code.compare(i, 4, "bool") != 0) continue;
+    i += 4;
+    skip_ws();
+    if (i >= code.size() || code[i] != '>') continue;
+    const std::size_t line = line_of(code, at);
+    if (line_has_waiver(line, "no-vector-bool")) continue;
+    report(file, line, "no-vector-bool",
+           "std::vector<bool> reads and writes single bits through proxies, "
+           "so its loops stay scalar — use one std::uint8_t per flag, or "
+           "build bit masks a whole word at a time");
+  }
+}
+
 // --- driver ----------------------------------------------------------------
 
 bool has_ext(const fs::path& p, std::string_view a, std::string_view b = "") {
@@ -847,12 +886,14 @@ int main(int argc, char** argv) {
       check_obs_macro_args(rel, code);
       check_metric_names(rel, raw, code);
       check_fault_sites(rel, raw, code);
-      // Determinism rules: library code only. Random sources are banned
-      // across all of src/; the unordered-iteration rule covers the layers
-      // whose outputs feed FP accumulations or serialized artifacts.
+      // Library-code rules. Random sources, unordered reductions and bit
+      // vectors are banned across all of src/; the unordered-iteration
+      // rule covers the layers whose outputs feed FP accumulations or
+      // serialized artifacts.
       if (std::string_view(scope.dir) == "src") {
         check_no_rand(rel, code);
         check_no_std_reduce(rel, code);
+        check_no_vector_bool(rel, code);
         if (rel_str.starts_with("src/core/") ||
             rel_str.starts_with("src/numeric/") ||
             rel_str.starts_with("src/nn/"))
