@@ -25,8 +25,9 @@
 #include "base/parallel.hpp"
 #include "core/bcm_conv.hpp"
 #include "core/conv_lanes.hpp"
-#include "hw/emac_pe.hpp"
+#include "core/frequency_weights.hpp"
 #include "hw/fft_pe.hpp"
+#include "hw/functional.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/pool.hpp"
@@ -116,22 +117,6 @@ void BM_FixedPointFftPe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FixedPointFftPe)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_EmacHalf(benchmark::State& state) {
-  const auto bs = static_cast<std::size_t>(state.range(0));
-  const std::size_t half = bs / 2 + 1;
-  std::vector<hw::CFix16> w(half), x(half), acc(half);
-  numeric::Rng rng(4);
-  for (std::size_t k = 0; k < half; ++k) {
-    w[k] = hw::CFix16::from_floats(rng.uniform(-1, 1), rng.uniform(-1, 1));
-    x[k] = hw::CFix16::from_floats(rng.uniform(-1, 1), rng.uniform(-1, 1));
-  }
-  for (auto _ : state) {
-    hw::EmacPe::emac_half(w, x, acc);
-    benchmark::DoNotOptimize(acc.data());
-  }
-}
-BENCHMARK(BM_EmacHalf)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 nn::ConvSpec conv_spec(std::size_t c) {
   nn::ConvSpec s;
@@ -285,6 +270,29 @@ BENCHMARK(BM_EmacIrfftLanes)
     ->Args({128, 4, 0})    // bcm4
     ->Args({128, 4, 84});
 
+// The Q7.8 functional model (the lane nest on Fix16 words at one pixel per
+// lane) over bcm0's shape: 32 -> 32, 3x3, 16x16 input, BS 8, hadaBCM,
+// every other block pruned (alpha 0.5), batch 16, on `threads` pool
+// threads.
+void BM_FixedPointConv(benchmark::State& state) {
+  const std::size_t saved = base::num_threads();
+  base::set_num_threads(static_cast<std::size_t>(state.range(0)));
+  numeric::Rng rng(9);
+  core::BcmConv2d conv(conv_spec(32), 8,
+                       core::BcmParameterization::kHadamard, rng);
+  for (std::size_t b = 0; b < conv.layout().total_blocks(); b += 2)
+    conv.prune_block(b);
+  tensor::Tensor x({16, 32, 16, 16});
+  tensor::fill_gaussian(x, rng, 0.3F);
+  const core::FrequencyLayerWeights fw = core::export_frequency_weights(conv);
+  for (auto _ : state) {
+    auto y = hw::bcm_conv_fixed_point(x, fw, conv.spec());
+    benchmark::DoNotOptimize(y.data());
+  }
+  base::set_num_threads(saved);
+}
+BENCHMARK(BM_FixedPointConv)->ArgName("threads")->Arg(1)->Arg(3)->UseRealTime();
+
 // Wall-clock of `reps` invocations of fn(), in milliseconds.
 template <typename Fn>
 double time_ms(int reps, Fn&& fn) {
@@ -422,7 +430,7 @@ void write_kernels_json(const std::string& path, std::size_t threads) {
     in.x_im = spec.im.data();
     in.x_size = spec.re.size();
     tensor::Tensor y({1, c, map, map});
-    std::vector<float> scratch(core::lanes::emac_scratch_floats(g));
+    std::vector<float> scratch(core::lanes::emac_scratch_words(g));
     const std::size_t tiles = core::lanes::tiles_per_sample(map, map);
     const auto run = [&](const core::lanes::Kernels& k) {
       k.emac_irfft_tiles(g, in, y.data(), 0, tiles, scratch.data());

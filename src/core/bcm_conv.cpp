@@ -24,28 +24,6 @@ constexpr std::size_t kUnitPixels = 256;   // ~input pixels per rFFT task
 constexpr std::size_t kTileWork = 4096;    // ~taps·block pairs·lanes per task
 constexpr std::size_t kBlockGrain = 16;    // defining-vector blocks per task
 
-lanes::ConvGeometry conv_geometry(const nn::ConvSpec& spec,
-                                  const BcmLayout& layout,
-                                  const numeric::TwiddleRom& rom,
-                                  std::size_t h, std::size_t w) {
-  lanes::ConvGeometry g;
-  g.bs = layout.block_size;
-  g.hb = numeric::half_bins(g.bs);
-  g.nbi = layout.in_blocks();
-  g.nbo = layout.out_blocks();
-  g.cin = spec.in_channels;
-  g.cout = spec.out_channels;
-  g.k = spec.kernel;
-  g.stride = spec.stride;
-  g.pad = spec.pad;
-  g.h = h;
-  g.w = w;
-  g.ho = spec.out_dim(h);
-  g.wo = spec.out_dim(w);
-  g.rom = &rom;
-  return g;
-}
-
 }  // namespace
 
 BcmConv2d::BcmConv2d(nn::ConvSpec spec, std::size_t block_size,
@@ -246,7 +224,8 @@ void BcmConv2d::infer_rfft(const nn::Tensor& x,
                   "BCM conv input must be NCHW with Cin="
                       << spec_.in_channels);
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const lanes::ConvGeometry g = conv_geometry(spec_, layout_, *rom_, h, w);
+  const lanes::ConvGeometry g =
+      lanes::conv_geometry(spec_, layout_, h, w, rom_);
   const std::size_t size = n * h * w * g.nbi * g.hb;
   // No zero-fill: the rFFT stage writes every bin of every pixel.
   spec.re.resize(size);
@@ -279,7 +258,7 @@ nn::Tensor BcmConv2d::infer_emac_irfft(const ActivationSpectra& spec) const {
                   "any mask update");
   const std::size_t n = spec.samples;
   const lanes::ConvGeometry g =
-      conv_geometry(spec_, layout_, *rom_, spec.height, spec.width);
+      lanes::conv_geometry(spec_, layout_, spec.height, spec.width, rom_);
   const std::size_t size = n * g.h * g.w * g.nbi * g.hb;
   RPBCM_CHECK_MSG(spec.re.size() == size && spec.im.size() == size,
                   "ActivationSpectra size does not match this layer");
@@ -310,7 +289,7 @@ nn::Tensor BcmConv2d::infer_emac_irfft(const ActivationSpectra& spec) const {
       1, kTileWork / std::max<std::size_t>(1, tile_work));
   base::parallel_for(0, n * lanes::tiles_per_sample(g.ho, g.wo), grain,
                      [&](std::size_t t0, std::size_t t1) {
-    auto& scratch = base::tls_scratch<float>(0, lanes::emac_scratch_floats(g));
+    auto& scratch = base::tls_scratch<float>(0, lanes::emac_scratch_words(g));
     numeric::emac::note_bins(emac(g, in, yd, t0, t1, scratch.data()));
   });
   RPBCM_OBS_COUNT("rpbcm.numeric.irfft.transforms",
@@ -321,7 +300,8 @@ nn::Tensor BcmConv2d::infer_emac_irfft(const ActivationSpectra& spec) const {
 nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
   RPBCM_CHECK_MSG(!xspec_.re.empty(), "backward before forward");
   const std::size_t n = xspec_.samples, h = xspec_.height, w = xspec_.width;
-  const lanes::ConvGeometry g = conv_geometry(spec_, layout_, *rom_, h, w);
+  const lanes::ConvGeometry g =
+      lanes::conv_geometry(spec_, layout_, h, w, rom_);
   const std::size_t ho = g.ho, wo = g.wo;
   RPBCM_CHECK(gy.rank() == 4 && gy.dim(0) == n &&
               gy.dim(1) == spec_.out_channels && gy.dim(2) == ho &&
@@ -428,7 +408,7 @@ nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
       std::max<std::size_t>(1, kTileWork / std::max<std::size_t>(1, tile_work)),
       [&](std::size_t t0, std::size_t t1) {
         auto& scratch =
-            base::tls_scratch<float>(0, lanes::emac_scratch_floats(gt));
+            base::tls_scratch<float>(0, lanes::emac_scratch_words(gt));
         // Bins are counted once, by the gW pass below: this nest would also
         // count taps that land on dilation zeros.
         emac(gt, tin, gxd, t0, t1, scratch.data());

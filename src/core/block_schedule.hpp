@@ -19,7 +19,8 @@ namespace rpbcm::core {
 /// conv_row_schedule is the one builder: BcmConv2d (and so BcmLinear, its
 /// K=1 case) rebuilds it lazily off mask_version_, alongside the
 /// weight-spectrum cache (rpbcm.core.sched.{rebuilds,cache_hits}), and the
-/// Q7.8 functional model (hw::bcm_conv_fixed_point) walks the same one.
+/// Q7.8 functional model (hw::bcm_conv_fixed_point) builds one per call
+/// for its instantiation of the same lane eMAC nest.
 /// BcmConv2d::backward builds one more per call, over the transposed
 /// layer's permuted skip index, for its input-gradient pass.
 struct BlockSchedule {

@@ -4,10 +4,20 @@
 #include "core/conv_lanes_impl.hpp"
 
 #include "base/scratch.hpp"
+#include "nn/conv2d.hpp"
 #include "numeric/emac.hpp"
 #include "numeric/rfft.hpp"
 
 namespace rpbcm::core::lanes {
+
+ConvGeometry conv_geometry(const nn::ConvSpec& spec, const BcmLayout& layout,
+                           std::size_t h, std::size_t w,
+                           const numeric::TwiddleRom* rom) {
+  const std::size_t bs = layout.block_size;
+  return {bs, numeric::half_bins(bs), layout.in_blocks(), layout.out_blocks(),
+          spec.in_channels, spec.out_channels, spec.kernel, spec.stride,
+          spec.pad, h, w, spec.out_dim(h), spec.out_dim(w), rom};
+}
 
 Kernels portable_kernels() { return make_kernels(); }
 
@@ -22,8 +32,9 @@ const Kernels& kernels() {
 }
 
 // Scratch slots 1-3: the calling chunk holds slot 0 for the eMAC scratch.
-void rfft_lane(const ConvGeometry& g, const float* x, std::size_t xs,
-               float* re, float* im, std::size_t os) {
+void FloatLaneTransforms::rfft(const ConvGeometry& g, const float* x,
+                               std::size_t xs, float* re, float* im,
+                               std::size_t os) {
   auto& scratch = base::tls_scratch<numeric::cfloat>(
       0, numeric::rfft_scratch_size(g.bs));
   auto& sig = base::tls_scratch<float>(1, g.bs);
@@ -37,8 +48,9 @@ void rfft_lane(const ConvGeometry& g, const float* x, std::size_t xs,
   }
 }
 
-void irfft_lane(const ConvGeometry& g, const float* re, const float* im,
-                std::size_t is, float* x, std::size_t xs) {
+void FloatLaneTransforms::irfft(const ConvGeometry& g, const float* re,
+                                const float* im, std::size_t is, float* x,
+                                std::size_t xs) {
   auto& scratch = base::tls_scratch<numeric::cfloat>(
       0, numeric::rfft_scratch_size(g.bs));
   auto& sig = base::tls_scratch<float>(1, g.bs);

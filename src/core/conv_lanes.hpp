@@ -6,6 +6,10 @@
 #include "core/block_schedule.hpp"
 #include "numeric/fft.hpp"
 
+namespace rpbcm::nn {
+struct ConvSpec;
+}
+
 namespace rpbcm::core::lanes {
 
 /// The pixel-lane kernels behind BcmConv2d::infer_rfft and
@@ -18,7 +22,9 @@ namespace rpbcm::core::lanes {
 /// AVX2 TU (-mavx2 -ffp-contract=off); kernels() picks one behind the
 /// process-wide RPBCM_SIMD dispatch (numeric::emac::active_path). Every lane
 /// performs the per-pixel float operations of the scalar nest in its order,
-/// so both paths are bitwise identical (docs/simd.md).
+/// so both paths are bitwise identical (docs/simd.md). The Q7.8 functional
+/// model (hw::bcm_conv_fixed_point) runs the same nests on Fix16 words at
+/// one pixel per lane.
 ///
 /// Activation spectra are stored pixel-minor per row:
 /// [sample][input row][in-block][bin][input column] (see
@@ -52,25 +58,34 @@ struct ConvGeometry {
   std::size_t k = 0, stride = 0, pad = 0;
   std::size_t h = 0, w = 0;    // input map
   std::size_t ho = 0, wo = 0;  // output map
-  const numeric::TwiddleRom* rom = nullptr;  // the size-bs ROM
+  const numeric::TwiddleRom* rom = nullptr;  // the size-bs ROM (float path)
 };
 
-/// What the eMAC reads: the cached weight spectra ([blocks][hb] planes),
-/// the surviving-block schedule (conv_row_schedule's CSR arrays) and the
-/// activation spectra (`x_size` floats per plane).
-struct EmacInputs {
-  const float* w_re = nullptr;
-  const float* w_im = nullptr;
+/// The geometry of `spec` over `layout` on an h × w input map.
+ConvGeometry conv_geometry(const nn::ConvSpec& spec, const BcmLayout& layout,
+                           std::size_t h, std::size_t w,
+                           const numeric::TwiddleRom* rom);
+
+/// What the eMAC reads, in words W (float; Fix16 in the Q7.8 model): the
+/// weight spectra ([blocks][hb] planes), the surviving-block schedule
+/// (conv_row_schedule's CSR arrays) and the activation spectra (`x_size`
+/// words per plane).
+template <class W>
+struct EmacPlanes {
+  const W* w_re = nullptr;
+  const W* w_im = nullptr;
   const std::uint32_t* offsets = nullptr;
   const BlockSchedule::Entry* entries = nullptr;
-  const float* x_re = nullptr;
-  const float* x_im = nullptr;
+  const W* x_re = nullptr;
+  const W* x_im = nullptr;
   std::size_t x_size = 0;
 };
+using EmacInputs = EmacPlanes<float>;
 
-/// Floats of scratch emac_irfft_tiles needs: accumulators, the staged
-/// activation lanes of one tap, and one IFFT tail tile.
-constexpr std::size_t emac_scratch_floats(const ConvGeometry& g) {
+/// Words of scratch emac_irfft_tiles needs: accumulators, the staged
+/// activation lanes of one tap, and one IFFT tail tile (enough for the
+/// Q7.8 model's one-lane tiles too).
+constexpr std::size_t emac_scratch_words(const ConvGeometry& g) {
   const std::size_t l = tile_rows(g.ho, g.wo) * lane_count(g.wo);
   return (2 * g.nbo * g.hb + 2 * g.hb + g.bs) * l;
 }
@@ -100,12 +115,15 @@ const Kernels& kernels();
 Kernels portable_kernels();
 Kernels avx2_kernels();
 
-/// One lane's transform for block sizes without a codelet: rfft_soa /
-/// irfft_soa over a signal strided by `xs` and bins strided by `os`/`is`.
-/// Out of line in the portable TU, so the AVX2 TU calls no std:: code.
-void rfft_lane(const ConvGeometry& g, const float* x, std::size_t xs,
-               float* re, float* im, std::size_t os);
-void irfft_lane(const ConvGeometry& g, const float* re, const float* im,
-                std::size_t is, float* x, std::size_t xs);
+/// The float path's one-lane transforms for block sizes without a codelet:
+/// rfft_soa / irfft_soa over a signal strided by `xs` and bins strided by
+/// `os`/`is`. Out of line in the portable TU, so the AVX2 TU calls no std::
+/// code.
+struct FloatLaneTransforms {
+  static void rfft(const ConvGeometry& g, const float* x, std::size_t xs,
+                   float* re, float* im, std::size_t os);
+  static void irfft(const ConvGeometry& g, const float* re, const float* im,
+                    std::size_t is, float* x, std::size_t xs);
+};
 
 }  // namespace rpbcm::core::lanes

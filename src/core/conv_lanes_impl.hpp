@@ -1,11 +1,17 @@
 #pragma once
 
-// The one rFFT nest and the one eMAC+IFFT nest of BcmConv2d, over L-pixel
-// lanes. Included only by conv_lanes.cpp (portable) and conv_lanes_avx2.cpp
-// (-mavx2 -ffp-contract=off); everything has internal linkage so each TU
-// keeps the copy compiled with its own ISA flags. The nests call nothing
-// from the standard library but memset/memcpy builtins (and the inline
-// pointer read TwiddleRom::table()).
+// The one rFFT nest and the one eMAC+IFFT nest of the BCM datapath, over
+// L-pixel lanes and a datapath policy P: word type P::Word, lane type
+// P::Lane<L>, and per-lane transforms P::rfft/P::irfft for block sizes
+// without a codelet, which get the nests' trailing `ctx...` (the policy's
+// state). FloatPath is BcmConv2d's; hw/functional.cpp's Q7.8 policy runs
+// Fix16 words at L = 1 through the FFT PE (docs/simd.md, "One nest, two
+// number systems"). Included only by .cpp files (lint rule
+// impl-header-in-cpp-only): conv_lanes.cpp (portable), conv_lanes_avx2.cpp
+// (-mavx2 -ffp-contract=off) and hw/functional.cpp; everything has internal
+// linkage so each TU keeps the copy compiled with its own ISA flags. The
+// float nests call nothing from the standard library but memset/memcpy
+// builtins (and the inline pointer read TwiddleRom::table()).
 //
 // Bitwise argument (docs/simd.md has it in full). Each lane of a tile is
 // one output pixel; it sees exactly the scalar nest's operations:
@@ -49,11 +55,19 @@ struct LaneType<8> {
 
 namespace cl = numeric::codelet;
 
+/// The float datapath: float words, L-pixel lanes, the codelets for
+/// N ∈ {4, 8, 16} and FloatLaneTransforms for other block sizes.
+struct FloatPath : FloatLaneTransforms {
+  using Word = float;
+  template <std::size_t L>
+  using Lane = typename LaneType<L>::V;
+};
+
 /// Replaces the lanes of `v` outside [lo, hi) by +0.
 template <std::size_t L, class V>
 inline void keep_lanes(V& v, std::size_t lo, std::size_t hi) {
   if constexpr (L == 1) {
-    if (lo != 0 || hi != 1) v = 0.0F;
+    if (lo != 0 || hi != 1) v = V{};
   } else {
     decltype(v < v) ok{};
     for (std::size_t l = 0; l < L; ++l) ok[l] = l >= lo && l < hi ? -1 : 0;
@@ -63,24 +77,28 @@ inline void keep_lanes(V& v, std::size_t lo, std::size_t hi) {
 
 /// rFFT of units [u0, u1); a unit is one (sample, row, in-block). Lane l
 /// of a tile is input pixel iw + l; rows narrower than a tile run their
-/// tail through a zero-padded copy and store only the real lanes.
-template <std::size_t L, std::size_t N>
-void rfft_units_l(const ConvGeometry& g, const float* x, float* re,
-                  float* im, std::size_t u0, std::size_t u1) {
-  using V = typename LaneType<L>::V;
+/// tail through a zero-padded copy and store only the real lanes. N = 0
+/// runs P::rfft per lane.
+template <std::size_t L, std::size_t N, class P, class... Ctx>
+void rfft_units_l(const ConvGeometry& g, const float* x,
+                  typename P::Word* re, typename P::Word* im, std::size_t u0,
+                  std::size_t u1, const Ctx&... ctx) {
+  using V = typename P::template Lane<L>;
+  using W = typename P::Word;
   const std::size_t bs = g.bs, hb = g.hb, h = g.h, w = g.w, nbi = g.nbi;
   const std::size_t cs = h * w;  // NCHW channel stride
-  const numeric::cfloat* tw = g.rom->table();
+  // Codelet twiddles; the N = 0 paths read no ROM (the Q7.8 one has none).
+  const numeric::cfloat* tw = N != 0 ? g.rom->table() : nullptr;
   for (std::size_t u = u0; u < u1; ++u) {
     const std::size_t ni = u / (h * nbi), ih = u / nbi % h, bi = u % nbi;
     const float* xu = x + ((ni * g.cin + bi * bs) * h + ih) * w;
-    float* ru = re + u * hb * w;
-    float* iu = im + u * hb * w;
+    W* ru = re + u * hb * w;
+    W* iu = im + u * hb * w;
     for (std::size_t iw = 0; iw < w; iw += L) {
       const std::size_t nv = w - iw < L ? w - iw : L;
       if constexpr (N == 0) {
         for (std::size_t l = 0; l < nv; ++l)
-          rfft_lane(g, xu + iw + l, cs, ru + iw + l, iu + iw + l, w);
+          P::rfft(g, xu + iw + l, cs, ru + iw + l, iu + iw + l, w, ctx...);
       } else if (nv == L) {
         cl::rfft<N, V>(xu + iw, cs, ru + iw, iu + iw, w, tw);
       } else {
@@ -102,14 +120,17 @@ void rfft_units_l(const ConvGeometry& g, const float* x, float* re,
 
 /// eMAC + IFFT of tiles [t0, t1); a tile is R output rows × C output
 /// columns, one vector of L = R·C lanes (lane r·C + c is pixel
-/// (oh0 + r, ow0 + c)).
-template <std::size_t R, std::size_t C, std::size_t N>
-std::size_t emac_irfft_tiles_l(const ConvGeometry& g, const EmacInputs& in,
+/// (oh0 + r, ow0 + c)). N = 0 runs P::irfft per lane.
+template <std::size_t R, std::size_t C, std::size_t N, class P,
+          class... Ctx>
+std::size_t emac_irfft_tiles_l(const ConvGeometry& g,
+                               const EmacPlanes<typename P::Word>& in,
                                float* y, std::size_t t0, std::size_t t1,
-                               float* scratch) {
+                               typename P::Word* scratch, const Ctx&... ctx) {
   constexpr std::size_t L = R * C;
-  using V = typename LaneType<L>::V;
-  using VC = typename LaneType<C>::V;  // one tile row
+  using V = typename P::template Lane<L>;
+  using VC = typename P::template Lane<C>;  // one tile row
+  using W = typename P::Word;
   using std::ptrdiff_t;
   // Compile-time bin count for the codelet sizes, so the bin loop unrolls.
   const std::size_t hb = N != 0 ? N / 2 + 1 : g.hb;
@@ -118,12 +139,13 @@ std::size_t emac_irfft_tiles_l(const ConvGeometry& g, const EmacInputs& in,
   const std::size_t tile_cols = (wo + C - 1) / C;
   const std::size_t tile_rows = (ho + R - 1) / R;
   const std::size_t plane = ho * wo;  // NCHW channel stride of y
-  const numeric::cfloat* tw = g.rom->table();
-  float* acc_re = scratch;            // [nbo][hb][L]
-  float* acc_im = acc_re + nbo * hb * L;
-  float* st_re = acc_im + nbo * hb * L;  // [hb][L]: one tap's lanes
-  float* st_im = st_re + hb * L;
-  float* tail = st_im + hb * L;  // [bs][L]: IFFT out of a partial tile
+  // Codelet twiddles; the N = 0 paths read no ROM (the Q7.8 one has none).
+  const numeric::cfloat* tw = N != 0 ? g.rom->table() : nullptr;
+  W* acc_re = scratch;            // [nbo][hb][L]
+  W* acc_im = acc_re + nbo * hb * L;
+  W* st_re = acc_im + nbo * hb * L;  // [hb][L]: one tap's lanes
+  W* st_im = st_re + hb * L;
+  W* tail = st_im + hb * L;  // [bs][L]: IFFT out of a partial tile
   std::size_t bins = 0;
   for (std::size_t t = t0; t < t1; ++t) {
     const std::size_t ni = t / (tile_rows * tile_cols);
@@ -131,7 +153,7 @@ std::size_t emac_irfft_tiles_l(const ConvGeometry& g, const EmacInputs& in,
     const std::size_t ow0 = t % tile_cols * C;
     const std::size_t nvr = ho - oh0 < R ? ho - oh0 : R;
     const std::size_t nvc = wo - ow0 < C ? wo - ow0 : C;
-    std::memset(acc_re, 0, 2 * nbo * hb * L * sizeof(float));
+    std::memset(static_cast<void*>(acc_re), 0, 2 * nbo * hb * L * sizeof(W));
     for (std::size_t kh = 0; kh < k; ++kh) {
       // Tile rows whose tap lands inside the map, and their input rows.
       bool row_in[R];
@@ -171,16 +193,16 @@ std::size_t emac_irfft_tiles_l(const ConvGeometry& g, const EmacInputs& in,
           if (e == end) continue;
           bins +=
               rows_in * (hi - lo) * hb * static_cast<std::size_t>(end - e);
-          const float* xr = st_re;
-          const float* xi = st_im;
+          const W* xr = st_re;
+          const W* xi = st_im;
           std::size_t xs = L;  // bin stride of xr/xi
           for (std::size_t r = 0; r < R; ++r) {
             // Column c of bin kb of tile row r sits at xo + kb*w + c*s.
             const ptrdiff_t xo = static_cast<ptrdiff_t>(
                                      ((ni * h + ih[r]) * nbi + bi) * hb * w) +
                                  iw0;
-            float* sr = st_re + r * C;
-            float* si = st_im + r * C;
+            W* sr = st_re + r * C;
+            W* si = st_im + r * C;
             if (in_place) {
               xr = in.x_re + xo;
               xi = in.x_im + xo;
@@ -218,10 +240,10 @@ std::size_t emac_irfft_tiles_l(const ConvGeometry& g, const EmacInputs& in,
             }
           }
           for (; e != end; ++e) {
-            const float* wr = in.w_re + e->blk * hb;
-            const float* wi = in.w_im + e->blk * hb;
-            float* ar = acc_re + e->pos * hb * L;
-            float* ai = acc_im + e->pos * hb * L;
+            const W* wr = in.w_re + e->blk * hb;
+            const W* wi = in.w_im + e->blk * hb;
+            W* ar = acc_re + e->pos * hb * L;
+            W* ai = acc_im + e->pos * hb * L;
             for (std::size_t kb = 0; kb < hb; ++kb) {
               V vr, vi, acr, aci;
               cl::load(vr, xr + kb * xs);
@@ -239,14 +261,14 @@ std::size_t emac_irfft_tiles_l(const ConvGeometry& g, const EmacInputs& in,
     // y[c][oh][ow0 .. ow0+nvc) runs.
     float* yt = y + (ni * g.cout * ho + oh0) * wo + ow0;
     for (std::size_t bo = 0; bo < nbo; ++bo) {
-      const float* ar = acc_re + bo * hb * L;
-      const float* ai = acc_im + bo * hb * L;
+      const W* ar = acc_re + bo * hb * L;
+      const W* ai = acc_im + bo * hb * L;
       float* yb = yt + bo * bs * plane;
       if constexpr (N == 0) {
         for (std::size_t r = 0; r < nvr; ++r)
           for (std::size_t c = 0; c < nvc; ++c)
-            irfft_lane(g, ar + r * C + c, ai + r * C + c, L, yb + r * wo + c,
-                       plane);
+            P::irfft(g, ar + r * C + c, ai + r * C + c, L, yb + r * wo + c,
+                     plane, ctx...);
       } else if (R == 1 && nvc == C) {
         cl::irfft<N, V>(ar, ai, L, yb, plane, tw);
       } else {
@@ -261,15 +283,16 @@ std::size_t emac_irfft_tiles_l(const ConvGeometry& g, const EmacInputs& in,
   return bins;
 }
 
-/// Picks the instantiation for the block size (codelet or generic).
+/// Picks the float instantiation for the block size (codelet or generic).
 template <std::size_t L>
 void rfft_units_bs(const ConvGeometry& g, const float* x, float* re,
                    float* im, std::size_t u0, std::size_t u1) {
+  using P = FloatPath;
   switch (g.bs) {
-    case 4: return rfft_units_l<L, 4>(g, x, re, im, u0, u1);
-    case 8: return rfft_units_l<L, 8>(g, x, re, im, u0, u1);
-    case 16: return rfft_units_l<L, 16>(g, x, re, im, u0, u1);
-    default: return rfft_units_l<L, 0>(g, x, re, im, u0, u1);
+    case 4: return rfft_units_l<L, 4, P>(g, x, re, im, u0, u1);
+    case 8: return rfft_units_l<L, 8, P>(g, x, re, im, u0, u1);
+    case 16: return rfft_units_l<L, 16, P>(g, x, re, im, u0, u1);
+    default: return rfft_units_l<L, 0, P>(g, x, re, im, u0, u1);
   }
 }
 
@@ -277,11 +300,14 @@ template <std::size_t R, std::size_t C>
 std::size_t emac_irfft_tiles_bs(const ConvGeometry& g, const EmacInputs& in,
                                 float* y, std::size_t t0, std::size_t t1,
                                 float* scratch) {
+  using P = FloatPath;
   switch (g.bs) {
-    case 4: return emac_irfft_tiles_l<R, C, 4>(g, in, y, t0, t1, scratch);
-    case 8: return emac_irfft_tiles_l<R, C, 8>(g, in, y, t0, t1, scratch);
-    case 16: return emac_irfft_tiles_l<R, C, 16>(g, in, y, t0, t1, scratch);
-    default: return emac_irfft_tiles_l<R, C, 0>(g, in, y, t0, t1, scratch);
+    case 4: return emac_irfft_tiles_l<R, C, 4, P>(g, in, y, t0, t1, scratch);
+    case 8: return emac_irfft_tiles_l<R, C, 8, P>(g, in, y, t0, t1, scratch);
+    case 16:
+      return emac_irfft_tiles_l<R, C, 16, P>(g, in, y, t0, t1, scratch);
+    default:
+      return emac_irfft_tiles_l<R, C, 0, P>(g, in, y, t0, t1, scratch);
   }
 }
 

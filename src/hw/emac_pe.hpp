@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "numeric/fixed_point.hpp"
 
@@ -14,21 +13,19 @@ using numeric::CFix16;
 /// the conjugate-symmetric half spectrum. A BS-size block costs only
 /// BS/2+1 MAC operations because the FFT of real data is conjugate
 /// symmetric [6]; the mirrored bins are reconstructed for free at the IFFT
-/// input.
+/// input. The MAC itself, acc[k] + w[k] * x[k] in CFix16, is the lane
+/// nest's eMAC on Fix16 words (core/conv_lanes_impl.hpp, run by
+/// hw::bcm_conv_fixed_point).
 class EmacPe {
  public:
-  /// acc[k] += w[k] * x[k] over the half spectrum (k = 0 .. BS/2).
-  static void emac_half(std::span<const CFix16> w_half,
-                        std::span<const CFix16> x_half,
-                        std::span<CFix16> acc_half);
-
-  /// Expands a half spectrum back to the full BS bins by conjugate
-  /// symmetry — the wiring between the eMAC accumulators and the IFFT.
-  static std::vector<CFix16> expand_half(std::span<const CFix16> half,
-                                         std::size_t bs);
-
-  /// Extracts the non-redundant half (BS/2+1 bins) of a full spectrum.
-  static std::vector<CFix16> take_half(std::span<const CFix16> full);
+  /// Expands a half spectrum to the full BS bins in place by conjugate
+  /// symmetry — the wiring between the eMAC accumulators and the IFFT:
+  /// bins 0 .. BS/2 of `full` hold the half spectrum on entry, bins
+  /// BS/2+1 .. BS-1 are overwritten with the conjugate mirror.
+  static void expand_half(std::span<CFix16> full) {
+    const std::size_t bs = full.size();
+    for (std::size_t k = bs / 2 + 1; k < bs; ++k) full[k] = full[bs - k].conj();
+  }
 
   /// One complex MAC per cycle: a surviving block costs BS/2+1 cycles per
   /// partial input.

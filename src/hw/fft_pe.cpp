@@ -20,25 +20,11 @@ FftPe::FftPe(std::size_t bs)
   if (bs == 1) twiddle_.assign(1, CFix16::from_floats(1.0F, 0.0F));
 }
 
-namespace {
-
-void bit_reverse(std::vector<CFix16>& d) {
-  const std::size_t n = d.size();
-  std::size_t j = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(d[i], d[j]);
-  }
-}
-
-}  // namespace
-
-std::vector<CFix16> FftPe::forward(std::vector<CFix16> data) const {
+void FftPe::transform(std::span<CFix16> data, bool inverse) const {
   RPBCM_CHECK_MSG(data.size() == bs_, "FFT PE block size mismatch");
-  if (bs_ <= 1) return data;
-  bit_reverse(data);
+  if (inverse)
+    for (auto& v : data) v = v.conj();
+  numeric::bit_reverse_permute(data);
   for (std::size_t len = 2; len <= bs_; len <<= 1) {
     const std::size_t stride = bs_ / len;
     for (std::size_t i = 0; i < bs_; i += len) {
@@ -51,28 +37,24 @@ std::vector<CFix16> FftPe::forward(std::vector<CFix16> data) const {
       }
     }
   }
-  return data;
+  if (inverse) {
+    const int sh = static_cast<int>(log2_bs_);
+    for (auto& v : data) v = v.conj().shift_right(sh);
+  }
 }
 
 std::vector<CFix16> FftPe::forward_real(std::span<const Fix16> x) const {
   RPBCM_CHECK(x.size() == bs_);
   std::vector<CFix16> d(bs_);
   for (std::size_t i = 0; i < bs_; ++i) d[i] = CFix16{x[i], Fix16{}};
-  return forward(std::move(d));
-}
-
-std::vector<CFix16> FftPe::inverse(std::span<const CFix16> spec) const {
-  RPBCM_CHECK(spec.size() == bs_);
-  std::vector<CFix16> d(spec.begin(), spec.end());
-  for (auto& v : d) v = v.conj();
-  d = forward(std::move(d));
-  const int sh = static_cast<int>(log2_bs_);
-  for (auto& v : d) v = v.conj().shift_right(sh);
+  transform(d);
   return d;
 }
 
 std::vector<Fix16> FftPe::inverse_real(std::span<const CFix16> spec) const {
-  auto d = inverse(spec);
+  RPBCM_CHECK(spec.size() == bs_);
+  std::vector<CFix16> d(spec.begin(), spec.end());
+  transform(d, /*inverse=*/true);
   std::vector<Fix16> out(bs_);
   for (std::size_t i = 0; i < bs_; ++i) out[i] = d[i].re;
   return out;

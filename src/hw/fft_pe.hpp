@@ -19,17 +19,14 @@ class FftPe {
  public:
   explicit FftPe(std::size_t bs);
 
-  std::size_t size() const { return bs_; }
+  /// In-place FFT of one BS-word block: bit reversal, then the radix-2
+  /// butterflies. The inverse runs the same butterflies through the
+  /// conjugate trick and the log2(BS)-shift divider:
+  /// IFFT(X) = conj(FFT(conj(X))) >> log2(BS).
+  void transform(std::span<CFix16> data, bool inverse = false) const;
 
   /// Forward FFT of a real fixed-point block.
   std::vector<CFix16> forward_real(std::span<const Fix16> x) const;
-
-  /// Forward FFT of a complex fixed-point block (in place semantics).
-  std::vector<CFix16> forward(std::vector<CFix16> data) const;
-
-  /// Inverse FFT via the conjugate trick + log2(BS)-shift divider:
-  /// IFFT(X) = conj(FFT(conj(X))) >> log2(BS).
-  std::vector<CFix16> inverse(std::span<const CFix16> spec) const;
 
   /// Real part of the inverse FFT (the recovered output activations).
   std::vector<Fix16> inverse_real(std::span<const CFix16> spec) const;

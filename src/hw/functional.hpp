@@ -29,11 +29,14 @@ struct SeuOptions {
 
 /// Bit-faithful functional model of the accelerator datapath for one
 /// BCM-compressed convolution layer: quantizes activations to Q7.8,
-/// runs the fixed-point FFT PE per input pixel/block, the eMAC PEs over
-/// the conjugate-symmetric half spectrum of the deployed weights (visiting
+/// runs the fixed-point FFT PE per input pixel/block, the eMAC over the
+/// conjugate-symmetric half spectrum of the deployed weights (visiting
 /// only surviving blocks, in core::conv_row_schedule order — the float
 /// layers' schedule), and the IFFT (FFT reuse + shift divider). Returns
-/// float activations dequantized from the 16-bit result.
+/// float activations dequantized from the 16-bit result. It is the float
+/// layers' lane nest (core/conv_lanes_impl.hpp) instantiated on Q7.8
+/// words at one pixel per lane, run on base::parallel_for; the result is
+/// bitwise the same at any thread count.
 ///
 /// This is the golden model the timing simulator's datapath corresponds
 /// to; tests compare it against the float BcmConv2d reference.

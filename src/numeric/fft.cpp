@@ -58,21 +58,6 @@ cfloat TwiddleRom::inverse(std::size_t k) const {
   return std::conj(forward(k));
 }
 
-namespace {
-
-void bit_reverse_permute(std::span<cfloat> data) {
-  const std::size_t n = data.size();
-  std::size_t j = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-}
-
-}  // namespace
-
 void fft_inplace(std::span<cfloat> data, const TwiddleRom& rom, bool inverse) {
   const std::size_t n = data.size();
   RPBCM_CHECK_MSG(n != 0 && rom.size() % n == 0,

@@ -3,6 +3,7 @@
 #include <complex>
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace rpbcm::numeric {
@@ -54,6 +55,21 @@ class TwiddleRom {
 /// analogue of the accelerator's one pre-loaded on-chip ROM. Hit/miss
 /// counts are exported as rpbcm.numeric.rom_cache.{hits,misses}.
 const TwiddleRom& twiddle_rom(std::size_t n);
+
+/// Bit-reversal permutation of a power-of-two-length sequence, in place:
+/// the load order of the radix-2 transforms (fft_inplace and the Q7.8 FFT
+/// PE, hw::FftPe).
+template <class T>
+void bit_reverse_permute(std::span<T> data) {
+  const std::size_t n = data.size();
+  std::size_t j = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+}
 
 /// In-place iterative radix-2 Cooley-Tukey FFT. `data.size()` must be a
 /// power of two. The inverse transform applies the 1/n scaling (the hardware

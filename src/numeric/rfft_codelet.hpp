@@ -46,15 +46,16 @@ constexpr std::size_t bit_reverse(std::size_t i, std::size_t m) {
   return r;
 }
 
-/// Unaligned load/store of one lane-type value. Lane-type values cross
+/// Unaligned load/store of one lane-type value from/to words of type T
+/// (float here; also Fix16 in the Q7.8 lane nest). Lane-type values cross
 /// function boundaries by reference only: a 32-byte vector passed by value
 /// has a different ABI with and without AVX.
-template <class V>
-inline void load(V& v, const float* p) {
+template <class V, class T>
+inline void load(V& v, const T* p) {
   std::memcpy(&v, p, sizeof v);
 }
-template <class V>
-inline void store(float* p, const V& v) {
+template <class T, class V>
+inline void store(T* p, const V& v) {
   std::memcpy(p, &v, sizeof v);
 }
 

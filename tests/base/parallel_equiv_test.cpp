@@ -12,6 +12,8 @@
 #include "base/parallel.hpp"
 #include "core/bcm_conv.hpp"
 #include "core/bcm_linear.hpp"
+#include "core/frequency_weights.hpp"
+#include "hw/functional.hpp"
 #include "hw/pipeline_sim.hpp"
 #include "models/model_zoo.hpp"
 #include "nn/conv2d.hpp"
@@ -112,6 +114,52 @@ TEST(ParallelEquivTest, BcmConvBitwiseAcrossThreadCounts) {
   for (std::size_t t : kThreadCounts) {
     base::set_num_threads(t);
     expect_layer_runs_equal(run_bcm_conv(), want);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// hw: the Q7.8 functional model (the lane nest on Fix16 words, one pixel
+// per lane)
+
+struct FixedPointRun {
+  nn::Tensor y;
+  std::uint64_t flips = 0;
+};
+
+// A 32 -> 32 3x3 layer, BS 8, every other block pruned (alpha 0.5), with
+// the SEU model on.
+FixedPointRun run_fixed_point() {
+  nn::ConvSpec spec;
+  spec.in_channels = 32;
+  spec.out_channels = 32;
+  spec.kernel = 3;
+  spec.stride = 1;
+  spec.pad = 1;
+  numeric::Rng rng(1);
+  core::BcmConv2d layer(spec, 8, core::BcmParameterization::kHadamard, rng);
+  for (std::size_t b = 0; b < layer.layout().total_blocks(); b += 2)
+    layer.prune_block(b);
+  const auto x = random_tensor({3, 32, 9, 9}, 2, 0.7F);
+  FixedPointRun r;
+  hw::SeuOptions seu;
+  seu.word_flip_prob = 0.02;
+  seu.seed = 5;
+  seu.flips = &r.flips;
+  r.y = hw::bcm_conv_fixed_point(x, core::export_frequency_weights(layer),
+                                 spec, seu);
+  return r;
+}
+
+TEST(ParallelEquivTest, FixedPointBitwiseAcrossThreadCounts) {
+  ThreadGuard guard;
+  base::set_num_threads(1);
+  const auto want = run_fixed_point();
+  ASSERT_GT(want.flips, 0u);
+  for (std::size_t t : kThreadCounts) {
+    base::set_num_threads(t);
+    const auto got = run_fixed_point();
+    expect_bitwise(got.y, want.y, "bcm_conv_fixed_point");
+    EXPECT_EQ(got.flips, want.flips);
   }
 }
 

@@ -2,59 +2,22 @@
 
 #include <gtest/gtest.h>
 
-#include <complex>
+#include <vector>
 
-#include "base/check.hpp"
 #include "hw/fft_pe.hpp"
 #include "numeric/random.hpp"
 
 namespace rpbcm::hw {
 namespace {
 
-TEST(EmacPeTest, HalfEmacMatchesComplexFloat) {
-  numeric::Rng rng(1);
-  const std::size_t half = 5;  // BS=8
-  std::vector<CFix16> w(half), x(half), acc(half);
-  std::vector<std::complex<float>> wf(half), xf(half), accf(half);
-  for (std::size_t k = 0; k < half; ++k) {
-    const float a = rng.uniform(-2, 2), b = rng.uniform(-2, 2);
-    const float c = rng.uniform(-2, 2), d = rng.uniform(-2, 2);
-    w[k] = CFix16::from_floats(a, b);
-    x[k] = CFix16::from_floats(c, d);
-    wf[k] = {a, b};
-    xf[k] = {c, d};
-  }
-  EmacPe::emac_half(w, x, acc);
-  for (std::size_t k = 0; k < half; ++k) {
-    accf[k] += wf[k] * xf[k];
-    EXPECT_NEAR(acc[k].re.to_float(), accf[k].real(), 0.1F);
-    EXPECT_NEAR(acc[k].im.to_float(), accf[k].imag(), 0.1F);
-  }
-}
-
-TEST(EmacPeTest, AccumulationOverMultipleBlocks) {
-  std::vector<CFix16> acc(3);
-  const std::vector<CFix16> w{CFix16::from_floats(1, 0),
-                              CFix16::from_floats(0, 1),
-                              CFix16::from_floats(2, 0)};
-  const std::vector<CFix16> x{CFix16::from_floats(1, 1),
-                              CFix16::from_floats(1, 0),
-                              CFix16::from_floats(0.5F, 0)};
-  EmacPe::emac_half(w, x, acc);
-  EmacPe::emac_half(w, x, acc);
-  EXPECT_NEAR(acc[0].re.to_float(), 2.0F, 0.02F);
-  EXPECT_NEAR(acc[0].im.to_float(), 2.0F, 0.02F);
-  EXPECT_NEAR(acc[1].im.to_float(), 2.0F, 0.02F);
-  EXPECT_NEAR(acc[2].re.to_float(), 2.0F, 0.02F);
-}
-
 TEST(EmacPeTest, ExpandHalfIsConjugateSymmetric) {
   numeric::Rng rng(2);
   std::vector<CFix16> half(5);
   for (auto& v : half)
     v = CFix16::from_floats(rng.uniform(-1, 1), rng.uniform(-1, 1));
-  const auto full = EmacPe::expand_half(half, 8);
-  ASSERT_EQ(full.size(), 8u);
+  std::vector<CFix16> full(half);
+  full.resize(8);
+  EmacPe::expand_half(full);
   // Mirrored bins (skip DC and Nyquist, which map to themselves).
   for (std::size_t k = 1; k < 4; ++k) {
     EXPECT_EQ(full[8 - k].re.raw(), full[k].re.raw());
@@ -67,18 +30,20 @@ TEST(EmacPeTest, ExpandHalfIsConjugateSymmetric) {
   }
 }
 
-TEST(EmacPeTest, TakeHalfInvertsExpand) {
+// The FFT of a real block is conjugate symmetric, so expanding its first
+// BS/2+1 bins rebuilds the rest bit for bit.
+TEST(EmacPeTest, ExpandHalfRebuildsFftMirror) {
   numeric::Rng rng(3);
   const FftPe pe(8);
   std::vector<Fix16> x(8);
   for (auto& v : x) v = Fix16::from_float(rng.uniform(-1, 1));
   const auto full = pe.forward_real(x);
-  const auto half = EmacPe::take_half(full);
-  EXPECT_EQ(half.size(), 5u);
-  const auto re_expanded = EmacPe::expand_half(half, 8);
+  std::vector<CFix16> rebuilt(full.begin(), full.begin() + 5);
+  rebuilt.resize(8, CFix16::from_floats(9.0F, 9.0F));
+  EmacPe::expand_half(rebuilt);
   for (std::size_t k = 0; k < 8; ++k) {
-    EXPECT_EQ(re_expanded[k].re.raw(), full[k].re.raw());
-    EXPECT_EQ(re_expanded[k].im.raw(), full[k].im.raw());
+    EXPECT_EQ(rebuilt[k].re.raw(), full[k].re.raw());
+    EXPECT_EQ(rebuilt[k].im.raw(), full[k].im.raw());
   }
 }
 
@@ -87,11 +52,6 @@ TEST(EmacPeTest, CyclesPerBlock) {
   EXPECT_EQ(EmacPe::cycles_per_block(8), 5u);
   EXPECT_EQ(EmacPe::cycles_per_block(16), 9u);
   EXPECT_EQ(EmacPe::cycles_per_block(32), 17u);
-}
-
-TEST(EmacPeTest, MismatchedSpansRejected) {
-  std::vector<CFix16> w(5), x(4), acc(5);
-  EXPECT_THROW(EmacPe::emac_half(w, x, acc), rpbcm::CheckError);
 }
 
 }  // namespace

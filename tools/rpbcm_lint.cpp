@@ -51,6 +51,13 @@
 //                    training masks were scalar, branchy loops for this
 //                    reason); keep one byte per flag, or pack bits a whole
 //                    word at a time
+//   impl-header-in-cpp-only
+//                    no `#include` of a `*_impl.hpp` loop-nest header from
+//                    a header, anywhere — those headers define their nests
+//                    with internal linkage so that each including .cpp
+//                    keeps its own copy, compiled with that TU's ISA flags
+//                    (src/core/conv_lanes_impl.hpp); included from a header
+//                    a nest would be copied into every TU that includes it
 //
 // A finding may be waived on its line with `// rpbcm-lint: allow(<rule>)`.
 // Waivers are themselves checked: a waiver that suppresses nothing is
@@ -822,6 +829,41 @@ void check_no_vector_bool(const fs::path& file, const std::string& code) {
   }
 }
 
+// --- rule: impl-header-in-cpp-only -----------------------------------------
+
+void check_impl_header_includes(const fs::path& file, const std::string& raw,
+                                const std::string& code) {
+  static constexpr std::string_view kImpl = "_impl.hpp";
+  std::size_t pos = 0;
+  while ((pos = code.find('#', pos)) != std::string::npos) {
+    const std::size_t at = pos++;
+    // `#` `include` `"name"` or `<name>`, with blanks between the tokens;
+    // the name is read from the raw text (string contents are blanked in
+    // `code`, so a directive inside a literal or comment never matches).
+    std::size_t i = pos;
+    auto skip_blanks = [&] {
+      while (i < code.size() && (code[i] == ' ' || code[i] == '\t')) ++i;
+    };
+    skip_blanks();
+    if (code.compare(i, 7, "include") != 0) continue;
+    i += 7;
+    skip_blanks();
+    if (i >= code.size() || (code[i] != '"' && code[i] != '<')) continue;
+    const std::size_t end = raw.find_first_of(code[i] == '"' ? "\"\n" : ">\n",
+                                              i + 1);
+    if (end == std::string::npos) continue;
+    const std::string_view name(raw.data() + i + 1, end - i - 1);
+    if (!name.ends_with(kImpl)) continue;
+    const std::size_t line = line_of(code, at);
+    if (line_has_waiver(line, "impl-header-in-cpp-only")) continue;
+    report(file, line, "impl-header-in-cpp-only",
+           "header includes the loop-nest header \"" + std::string(name) +
+               "\": *_impl.hpp nests have internal linkage so each .cpp "
+               "keeps its own ISA-specific copy — include it from a .cpp "
+               "only");
+  }
+}
+
 // --- driver ----------------------------------------------------------------
 
 bool has_ext(const fs::path& p, std::string_view a, std::string_view b = "") {
@@ -886,6 +928,7 @@ int main(int argc, char** argv) {
       check_obs_macro_args(rel, code);
       check_metric_names(rel, raw, code);
       check_fault_sites(rel, raw, code);
+      if (header) check_impl_header_includes(rel, raw, code);
       // Library-code rules. Random sources, unordered reductions and bit
       // vectors are banned across all of src/; the unordered-iteration
       // rule covers the layers whose outputs feed FP accumulations or
