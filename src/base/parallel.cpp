@@ -1,5 +1,6 @@
 #include "base/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -36,6 +37,38 @@ std::size_t env_default_threads() {
   return hardware_threads();
 }
 
+/// Chunk `i` of [begin, end) at grain g >= 1: the one definition of the
+/// chunk boundaries, shared by compute_chunks() and both execution paths.
+ChunkRange nth_chunk(std::size_t begin, std::size_t end, std::size_t g,
+                     std::size_t i) {
+  const std::size_t b = begin + i * g;
+  return ChunkRange{b, end - b > g ? b + g : end};
+}
+
+/// One polling step: `pause` on x86 (cheap, frees the core's sibling
+/// hyperthread), a scheduler yield elsewhere.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// Polls `ready` for up to kPoolSpinBudget; true as soon as it holds.
+template <typename Ready>
+bool spin_until(Ready&& ready) {
+  if (ready()) return true;
+  const auto deadline = std::chrono::steady_clock::now() + kPoolSpinBudget;
+  for (;;) {
+    for (int i = 0; i < 16; ++i) {
+      cpu_relax();
+      if (ready()) return true;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+  }
+}
+
 /// Shared state of one parallel_for call. Workers and the caller claim
 /// chunks from `next`; whoever claims a chunk runs it. The caller claims
 /// until the range is exhausted, so completion never depends on a worker
@@ -43,9 +76,15 @@ std::size_t env_default_threads() {
 struct ForContext {
   const std::function<void(std::size_t, std::size_t, std::size_t)>* fn =
       nullptr;
-  std::vector<ChunkRange> chunks;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t grain = 1;
+  std::size_t total = 0;  // chunk_count(begin, end, grain)
+  // `next` is claimed by every participant and `done` polled by the
+  // caller: each on a line of its own, so neither evicts the read-only
+  // fields above from the other cores.
+  alignas(64) std::atomic<std::size_t> next{0};
+  alignas(64) std::atomic<std::size_t> done{0};
   // Resolved once per parallel_for call; per-chunk recording into the
   // bucketed histogram is lock-free, so workers never serialize on it.
   RPBCM_OBS_ONLY(::rpbcm::obs::Histogram* chunk_hist = nullptr;)
@@ -56,17 +95,19 @@ struct ForContext {
       std::numeric_limits<std::size_t>::max();
   std::exception_ptr err RPBCM_GUARDED_BY(mu);
 
-  /// Claims and runs chunks until none remain. Returns after contributing
-  /// `done` increments for every chunk it ran.
-  void drain(bool on_caller) {
-    const std::size_t total = chunks.size();
+  /// Claims and runs chunks until none remain, then adds the number it ran
+  /// to `done` in one step and returns it. Workers never touch the metrics
+  /// registry (a lookup takes its mutex): the caller counts for everyone.
+  std::size_t drain() {
+    std::size_t ran = 0;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) return;
+      if (i >= total) break;
+      const ChunkRange c = nth_chunk(begin, end, grain, i);
       RPBCM_OBS_ONLY(const auto chunk_start =
                          std::chrono::steady_clock::now();)
       try {
-        (*fn)(i, chunks[i].begin, chunks[i].end);
+        (*fn)(i, c.begin, c.end);
       } catch (...) {
         // Keep the lowest-indexed exception so the surfaced error is
         // deterministic regardless of which thread ran which chunk.
@@ -76,31 +117,42 @@ struct ForContext {
           err = std::current_exception();
         }
       }
-      if (on_caller) {
-        RPBCM_OBS_COUNT("rpbcm.base.pool.tasks_inline", 1);
-      } else {
-        RPBCM_OBS_COUNT("rpbcm.base.pool.tasks_stolen", 1);
-      }
       RPBCM_OBS_ONLY(if (chunk_hist != nullptr) chunk_hist->record(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         chunk_start)
               .count());)
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
-        // Lock pairing with the caller's wait: either the caller has not
-        // checked the predicate yet (it will observe done==total), or it is
-        // inside cv.wait and this notify wakes it.
-        MutexLock lk(mu);
-        cv.notify_all();
-      }
+      ++ran;
     }
+    if (ran != 0 && done.fetch_add(ran, std::memory_order_acq_rel) + ran ==
+                        total) {
+      // Lock pairing with the caller's wait: either the caller has not
+      // checked the predicate yet (it will observe done==total), or it is
+      // inside cv.wait and this notify wakes it.
+      MutexLock lk(mu);
+      cv.notify_all();
+    }
+    return ran;
+  }
+
+  /// The caller's side: polls for the helpers' chunks for up to
+  /// kPoolSpinBudget, then blocks.
+  void wait_done() {
+    if (spin_until([this] {
+          return done.load(std::memory_order_acquire) == total;
+        }))
+      return;
+    MutexLock lk(mu);
+    while (done.load(std::memory_order_acquire) != total) cv.wait(mu);
   }
 };
 
-/// Lazily-started fixed pool. Workers block on a task queue; parallel_for
-/// enqueues lightweight "helper" tasks that cooperatively drain one
-/// ForContext. set_num_threads() joins the current workers (each finishes
-/// the task it is running) and lets the pool restart lazily at the new
-/// size.
+/// Lazily-started fixed pool. Workers take helper entries off a queue;
+/// parallel_for enqueues one entry per wanted helper, each a handle on the
+/// ForContext the helper drains cooperatively. An idle worker polls the
+/// lock-free `has_work_` flag for kPoolSpinBudget before it parks on
+/// `queue_cv_`. set_num_threads() joins the current workers
+/// (each finishes the entry it is running) and lets the pool restart
+/// lazily at the new size.
 class Pool {
  public:
   static Pool& instance() {
@@ -129,19 +181,24 @@ class Pool {
     {
       MutexLock qlk(queue_mu_);
       stop_ = false;
+      publish_locked();
     }
     workers_.reserve(configured_ - 1);
     for (std::size_t i = 0; i + 1 < configured_; ++i)
       workers_.emplace_back([this] { worker_main(); });
   }
 
-  void submit(std::function<void()> task) RPBCM_EXCLUDES(queue_mu_) {
+  /// Queues `helpers` entries that each drain `ctx`.
+  void submit(const std::shared_ptr<ForContext>& ctx, std::size_t helpers)
+      RPBCM_EXCLUDES(queue_mu_) {
     {
       MutexLock lk(queue_mu_);
-      queue_.push_back(std::move(task));
+      for (std::size_t i = 0; i < helpers; ++i) queue_.push_back(ctx);
+      publish_locked();
     }
-    queue_cv_.notify_one();
-    RPBCM_OBS_COUNT("rpbcm.base.pool.tasks_submitted", 1);
+    // Wakes parked workers only; one that is still polling sees has_work_.
+    for (std::size_t i = 0; i < helpers; ++i) queue_cv_.notify_one();
+    RPBCM_OBS_COUNT("rpbcm.base.pool.tasks_submitted", helpers);
   }
 
   ~Pool() RPBCM_EXCLUDES(lifecycle_mu_) {
@@ -154,23 +211,42 @@ class Pool {
 
   void worker_main() RPBCM_EXCLUDES(queue_mu_) {
     tl_pool_worker = true;
-    for (;;) {
-      std::function<void()> task;
-      {
-        MutexLock lk(queue_mu_);
-        while (!stop_ && queue_.empty()) queue_cv_.wait(queue_mu_);
-        // Drain the queue even when stopping: a queued helper must not be
-        // dropped while its ForContext is still live (it is a no-op once
-        // the context's range is exhausted).
-        if (queue_.empty()) return;  // implies stop_
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      task();
+    std::shared_ptr<ForContext> ctx;
+    while (next_entry(ctx)) {
+      ctx->drain();
+      ctx.reset();
     }
   }
 
-  // Joining waits for in-flight tasks; a helper task drains its whole
+  /// Takes the next queued entry into `ctx`; false once the pool stops
+  /// with an empty queue. Polls first, then parks.
+  bool next_entry(std::shared_ptr<ForContext>& ctx)
+      RPBCM_EXCLUDES(queue_mu_) {
+    for (;;) {
+      const bool seen = spin_until(
+          [this] { return has_work_.load(std::memory_order_acquire); });
+      MutexLock lk(queue_mu_);
+      if (!stop_ && queue_.empty()) {
+        if (seen) continue;  // another worker took the entry: poll again
+        while (!stop_ && queue_.empty()) queue_cv_.wait(queue_mu_);
+      }
+      // Drain the queue even when stopping: a queued entry must not be
+      // dropped while its ForContext is still live (it is a no-op once
+      // the context's range is exhausted).
+      if (queue_.empty()) return false;  // implies stop_
+      ctx = std::move(queue_.front());
+      queue_.pop_front();
+      publish_locked();
+      return true;
+    }
+  }
+
+  /// Mirrors "an entry is queued or the pool is stopping" into has_work_.
+  void publish_locked() RPBCM_REQUIRES(queue_mu_) {
+    has_work_.store(stop_ || !queue_.empty(), std::memory_order_release);
+  }
+
+  // Joining waits for in-flight entries; a helper drains its whole
   // (finite) chunk range, so this terminates.
   void stop_workers_locked() RPBCM_REQUIRES(lifecycle_mu_)
       RPBCM_EXCLUDES(queue_mu_) {
@@ -178,6 +254,7 @@ class Pool {
     {
       MutexLock lk(queue_mu_);
       stop_ = true;
+      publish_locked();
     }
     queue_cv_.notify_all();
     for (std::thread& w : workers_) w.join();
@@ -192,8 +269,10 @@ class Pool {
 
   Mutex queue_mu_ RPBCM_ACQUIRED_AFTER(lifecycle_mu_);
   CondVar queue_cv_;
-  std::deque<std::function<void()>> queue_ RPBCM_GUARDED_BY(queue_mu_);
+  std::deque<std::shared_ptr<ForContext>> queue_ RPBCM_GUARDED_BY(queue_mu_);
   bool stop_ RPBCM_GUARDED_BY(queue_mu_) = false;
+  // Written under queue_mu_ (publish_locked), polled without it.
+  std::atomic<bool> has_work_{false};
 };
 
 }  // namespace
@@ -216,52 +295,57 @@ std::size_t chunk_count(std::size_t begin, std::size_t end,
 
 std::vector<ChunkRange> compute_chunks(std::size_t begin, std::size_t end,
                                        std::size_t grain) {
-  std::vector<ChunkRange> chunks;
-  if (end <= begin) return chunks;
+  const std::size_t total = chunk_count(begin, end, grain);
   const std::size_t g = grain == 0 ? 1 : grain;
-  chunks.reserve(chunk_count(begin, end, grain));
-  for (std::size_t b = begin; b < end; b += g)
-    chunks.push_back(ChunkRange{b, b + g < end ? b + g : end});
+  std::vector<ChunkRange> chunks;
+  chunks.reserve(total);
+  for (std::size_t i = 0; i < total; ++i)
+    chunks.push_back(nth_chunk(begin, end, g, i));
   return chunks;
 }
 
 void parallel_for_chunks(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  auto chunks = compute_chunks(begin, end, grain);
-  if (chunks.empty()) return;
+  const std::size_t total = chunk_count(begin, end, grain);
+  if (total == 0) return;
+  const std::size_t g = grain == 0 ? 1 : grain;
 
   Pool& pool = Pool::instance();
   const std::size_t threads = pool.configured();
-  if (chunks.size() == 1 || threads <= 1 || tl_pool_worker ||
-      tl_serial_depth != 0) {
+  if (total == 1 || threads <= 1 || tl_pool_worker || tl_serial_depth != 0) {
     // Serial reference path: same chunk boundaries, ascending order.
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      fn(c, chunks[c].begin, chunks[c].end);
-      RPBCM_OBS_COUNT("rpbcm.base.pool.tasks_inline", 1);
+    for (std::size_t i = 0; i < total; ++i) {
+      const ChunkRange c = nth_chunk(begin, end, g, i);
+      fn(i, c.begin, c.end);
     }
+    RPBCM_OBS_COUNT("rpbcm.base.pool.tasks_inline", total);
     return;
   }
 
   auto ctx = std::make_shared<ForContext>();
   ctx->fn = &fn;
-  ctx->chunks = std::move(chunks);
+  ctx->begin = begin;
+  ctx->end = end;
+  ctx->grain = g;
+  ctx->total = total;
   RPBCM_OBS_ONLY(ctx->chunk_hist = &::rpbcm::obs::Registry::global().histogram(
                      "rpbcm.base.pool.chunk_seconds");)
-  const std::size_t total = ctx->chunks.size();
 
   pool.ensure_started();
-  const std::size_t helpers = std::min(threads - 1, total - 1);
-  for (std::size_t i = 0; i < helpers; ++i)
-    pool.submit([ctx] { ctx->drain(/*on_caller=*/false); });
+  pool.submit(ctx, std::min(threads - 1, total - 1));
 
-  ctx->drain(/*on_caller=*/true);
+  const std::size_t ran_inline = ctx->drain();
+  ctx->wait_done();
+  // Every chunk ran exactly once, here or on a helper.
+  RPBCM_OBS_COUNT("rpbcm.base.pool.tasks_inline", ran_inline);
+  RPBCM_OBS_COUNT("rpbcm.base.pool.tasks_stolen", total - ran_inline);
   std::exception_ptr err;
   {
+    // Moved out, so a helper that drops the last ForContext reference
+    // later never frees the exception this thread is handling.
     MutexLock lk(ctx->mu);
-    while (ctx->done.load(std::memory_order_acquire) != total)
-      ctx->cv.wait(ctx->mu);
-    err = ctx->err;
+    err = std::move(ctx->err);
   }
   if (err) std::rethrow_exception(err);
 }

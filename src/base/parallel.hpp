@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -28,6 +29,15 @@ std::size_t chunk_count(std::size_t begin, std::size_t end, std::size_t grain);
 /// across any thread count, including the serial num_threads()==1 path.
 std::vector<ChunkRange> compute_chunks(std::size_t begin, std::size_t end,
                                        std::size_t grain);
+
+/// How long an idle pool worker polls for queued work, and a parallel_for
+/// caller polls for its helpers to finish, before blocking on a condition
+/// variable. Back-to-back per-layer calls (a batch-1 forward issues one
+/// every few tens of microseconds) then find the workers awake instead of
+/// paying a thread wake-up each, while an idle pool still parks within
+/// this budget (docs/parallelism.md, "Wait policy"). A fixed constant, not
+/// a knob.
+inline constexpr std::chrono::microseconds kPoolSpinBudget{50};
 
 /// Configured parallelism (worker threads + the calling thread), always
 /// >= 1. Defaults to the RPBCM_THREADS environment variable, falling back

@@ -16,13 +16,26 @@ namespace rpbcm::core {
 namespace {
 
 // Chunk grains for the parallel loops below. Constants or functions of the
-// layer's geometry — never of the thread count — so chunk boundaries and
-// every floating-point accumulation order are identical at any
-// parallelism.
+// layer's geometry and pruning mask — never of the thread count — so chunk
+// boundaries and every floating-point accumulation order are identical at
+// any parallelism.
 constexpr std::size_t kSpectrumGrain = 8;  // per-pixel/per-block rFFT tasks
 constexpr std::size_t kUnitPixels = 256;   // ~input pixels per rFFT task
-constexpr std::size_t kTileWork = 4096;    // ~taps·block pairs·lanes per task
+constexpr std::size_t kTileWork = 4096;    // ~surviving blocks·lanes per task
 constexpr std::size_t kBlockGrain = 16;    // defining-vector blocks per task
+
+// Grain of an eMAC+IFFT tile loop over a ho×wo output: tiles per task such
+// that a task multiplies ~kTileWork (surviving block, output pixel) pairs.
+// Counting surviving blocks, not the dense K²·nbi·nbo, keeps a pruned
+// layer's tasks as heavy as an unpruned one's; the mask is fixed for the
+// call, so the grain is still a function of geometry and mask alone.
+std::size_t tile_grain(std::size_t surviving, std::size_t ho,
+                       std::size_t wo) {
+  const std::size_t tile_work =
+      surviving * lanes::tile_rows(ho, wo) * lanes::lane_count(wo);
+  return std::max<std::size_t>(
+      1, kTileWork / std::max<std::size_t>(1, tile_work));
+}
 
 }  // namespace
 
@@ -282,16 +295,15 @@ nn::Tensor BcmConv2d::infer_emac_irfft(const ActivationSpectra& spec) const {
   // BS/2+1 non-redundant bins are multiplied — the halved MAC count of the
   // eMAC PE (Section IV-B).
   const auto emac = lanes::kernels().emac_irfft_tiles;
-  const std::size_t tile_work = g.k * g.k * g.nbi * g.nbo *
-                                lanes::tile_rows(g.ho, g.wo) *
-                                lanes::lane_count(g.wo);
-  const std::size_t grain = std::max<std::size_t>(
-      1, kTileWork / std::max<std::size_t>(1, tile_work));
-  base::parallel_for(0, n * lanes::tiles_per_sample(g.ho, g.wo), grain,
-                     [&](std::size_t t0, std::size_t t1) {
-    auto& scratch = base::tls_scratch<float>(0, lanes::emac_scratch_words(g));
-    numeric::emac::note_bins(emac(g, in, yd, t0, t1, scratch.data()));
-  });
+  const std::size_t bins = base::parallel_sum<std::size_t>(
+      0, n * lanes::tiles_per_sample(g.ho, g.wo),
+      tile_grain(sched_rows_.surviving(), g.ho, g.wo),
+      [&](std::size_t t0, std::size_t t1) {
+        auto& scratch =
+            base::tls_scratch<float>(0, lanes::emac_scratch_words(g));
+        return emac(g, in, yd, t0, t1, scratch.data());
+      });
+  numeric::emac::note_bins(bins);
   RPBCM_OBS_COUNT("rpbcm.numeric.irfft.transforms",
                   n * g.ho * g.wo * g.nbo);
   return y;
@@ -401,11 +413,9 @@ nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
   nn::Tensor gx({n, spec_.in_channels, h, w});
   float* gxd = gx.data();
   const auto emac = lanes::kernels().emac_irfft_tiles;
-  const std::size_t tile_work = k * k * nbi * nbo * lanes::tile_rows(h, w) *
-                                lanes::lane_count(w);
   base::parallel_for(
       0, n * lanes::tiles_per_sample(h, w),
-      std::max<std::size_t>(1, kTileWork / std::max<std::size_t>(1, tile_work)),
+      tile_grain(tsched.surviving(), h, w),
       [&](std::size_t t0, std::size_t t1) {
         auto& scratch =
             base::tls_scratch<float>(0, lanes::emac_scratch_words(gt));
@@ -432,7 +442,8 @@ nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
     // One past the last output index whose tap lands at input < in.
     return std::min(out, in + pad > tap ? (in + pad - tap - 1) / s + 1 : 0);
   };
-  base::parallel_for(0, k * k * nbi, 1, [&](std::size_t r0, std::size_t r1) {
+  const std::size_t gw_bins = base::parallel_sum<std::size_t>(
+      0, k * k * nbi, 1, [&](std::size_t r0, std::size_t r1) {
     // A row sums into task scratch and stores its blocks once: the blocks
     // of neighbouring rows share cache lines in gw_re/gw_im.
     auto& acc = base::tls_scratch<float>(0, 2 * nbo * hb);
@@ -482,8 +493,9 @@ nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
           gw_im[e0[j].blk * hb + kb] = acc_im[j * hb + kb];
         }
     }
-    numeric::emac::note_bins(bins);
+    return bins;
   });
+  numeric::emac::note_bins(gw_bins);
 
   // Grad of the defining vectors; chain through the Hadamard factors
   // (Eq. (1): dL/dA = dL/dW ⊙ B, dL/dB = dL/dW ⊙ A). Blocks are disjoint.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "hw/fft_pe.hpp"
 #include "numeric/fft.hpp"
 
 namespace rpbcm::hw {
@@ -42,9 +43,11 @@ ResourceReport estimate_resources(const HwConfig& cfg,
       2.0 * static_cast<double>(cfg.fft_units) *
       static_cast<double>(cfg.block_size) *
       static_cast<double>(cfg.data_bits) / 8.0 / 1024.0 * 2.0;  // re+im
-  const double rom_kb = static_cast<double>(cfg.block_size / 2) *
-                        static_cast<double>(cfg.data_bits) * 2.0 / 8.0 /
-                        1024.0;
+  // The twiddle ROM is sized by the FFT PE that reads it.
+  const double rom_words =
+      static_cast<double>(FftPe(cfg.block_size).rom_words());
+  const double rom_kb =
+      rom_words * static_cast<double>(cfg.data_bits) * 2.0 / 8.0 / 1024.0;
   kb += bs_buf_kb + rom_kb;
   if (cfg.skip_scheme) kb += costs.skip_index_kb;
   r.bram36 = bram36_for_kb(kb);

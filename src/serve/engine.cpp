@@ -17,10 +17,15 @@ namespace {
 
 // Batches of at most this many requests run their stage compute inline on
 // the stage thread (base::SerialSection) instead of fanning out to the
-// pool: a micro-batch stage is a handful of microseconds of work, far below
-// the cost of a pool wakeup, and the engine already overlaps the two stages
-// across its pipeline threads. Chunk boundaries are unchanged, so outputs
-// stay bitwise identical either way. Larger batches use the pool.
+// pool, and the engine already overlaps the two stages across its pipeline
+// threads. A fan-out is not free: on a 4-vCPU host with 3 pool threads an
+// empty 16-chunk parallel_for costs ≈5 µs (≈12 µs before the pool polled
+// before parking; docs/parallelism.md, "Wait policy"), against
+// ≈15 µs (rFFT) and ≈100 µs (eMAC+IFFT) of work in a perfbench serve_conv
+// micro-batch of ~1.1 requests. Whether fanning out now pays at this size
+// is unmeasured, so the threshold stays. Chunk boundaries are unchanged,
+// so outputs stay bitwise identical either way. Larger batches use the
+// pool.
 constexpr std::size_t kInlineStageBatch = 8;
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {

@@ -1,6 +1,7 @@
 #include "base/parallel.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <array>
 #include <atomic>
@@ -136,9 +137,55 @@ TEST(ParallelPoolTest, ObsCountersTrackExecutionMode) {
   parallel_for(0, 8, 1, [](std::size_t, std::size_t) {});
   EXPECT_GE(inline_c.value(), inline_before + 8);
   set_num_threads(4);
+  auto& stolen_c =
+      obs::Registry::global().counter("rpbcm.base.pool.tasks_stolen");
   const auto sub_before = submitted.value();
+  const auto ran_before = inline_c.value() + stolen_c.value();
   parallel_for(0, 64, 1, [](std::size_t, std::size_t) {});
   EXPECT_GT(submitted.value(), sub_before);
+  // Counted once per call, yet exact: every chunk lands in one of the two
+  // counters before parallel_for returns.
+  EXPECT_EQ(inline_c.value() + stolen_c.value(), ran_before + 64);
+}
+
+double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+// Workers poll for kPoolSpinBudget after their last task, then block: an
+// idle pool must not keep burning CPU. Over the sleep, two workers that
+// never parked would add ~2 sleeps of CPU time; parked ones add at most
+// their two polling tails.
+TEST(ParallelPoolTest, IdleWorkersPark) {
+  ThreadGuard guard;
+  set_num_threads(3);
+  // Three chunks that each wait for all three threads: both workers have
+  // started and run a task before the measurement, so thread start-up
+  // (costly under the sanitizers) does not land in it.
+  std::atomic<std::size_t> arrived{0};
+  parallel_for(0, 3, 1, [&](std::size_t, std::size_t) {
+    arrived.fetch_add(1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < 3 && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+  });
+  ASSERT_EQ(arrived.load(), 3u);
+  // The process CPU time of threads running on other cores is brought up
+  // to date only at scheduler ticks (up to 10 ms apart), so the sleep spans
+  // many ticks, not just the 20 budgets a parked pool needs.
+  constexpr auto sleep = std::chrono::milliseconds(100);
+  static_assert(sleep >= 20 * kPoolSpinBudget);
+  const double cpu_before = process_cpu_seconds();
+  std::this_thread::sleep_for(sleep);
+  const double cpu_used = process_cpu_seconds() - cpu_before;
+  EXPECT_LT(cpu_used, 0.5 * std::chrono::duration<double>(sleep).count());
 }
 
 // Eight external threads hammering the shared pool concurrently; every
