@@ -54,19 +54,18 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
 
 void BM_FftComplex(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const numeric::TwiddleRom& rom = numeric::twiddle_rom(n);
   std::vector<numeric::cfloat> data(n);
   numeric::Rng rng(n);
   for (auto& v : data) v = {rng.gaussian(), rng.gaussian()};
   for (auto _ : state) {
     auto copy = data;
-    numeric::fft_inplace(std::span<numeric::cfloat>(copy), rom, false);
+    numeric::fft_inplace(std::span<numeric::cfloat>(copy), false);
     benchmark::DoNotOptimize(copy.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_FftComplex)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
+BENCHMARK(BM_FftComplex)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 // Packed real FFT of a real signal: an n/2-point complex FFT plus O(n)
 // untangling — the transform the BCM layers run.
@@ -76,48 +75,47 @@ void BM_RfftReal(benchmark::State& state) {
   const auto x = random_vec(n, n);
   const std::size_t hb = numeric::half_bins(n);
   std::vector<float> re(hb), im(hb);
-  std::vector<numeric::cfloat> scratch(numeric::rfft_scratch_size(n));
   for (auto _ : state) {
-    numeric::rfft_soa(x.data(), re.data(), im.data(), rom, scratch);
+    numeric::rfft_soa(x.data(), re.data(), im.data(), rom);
     benchmark::DoNotOptimize(re.data());
     benchmark::DoNotOptimize(im.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_RfftReal)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
+BENCHMARK(BM_RfftReal)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
-// Its Hermitian inverse: re-tangling plus an n/2-point inverse FFT. Sizes 4,
-// 8 and 16 run the straight-line codelets, the rest the generic loop.
+// Its Hermitian inverse: re-tangling plus an n/2-point inverse FFT.
 void BM_IrfftReal(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const numeric::TwiddleRom& rom = numeric::twiddle_rom(n);
   const auto x = random_vec(n, n);
   const std::size_t hb = numeric::half_bins(n);
   std::vector<float> re(hb), im(hb), out(n);
-  std::vector<numeric::cfloat> scratch(numeric::rfft_scratch_size(n));
-  numeric::rfft_soa(x.data(), re.data(), im.data(), rom, scratch);
+  numeric::rfft_soa(x.data(), re.data(), im.data(), rom);
   for (auto _ : state) {
-    numeric::irfft_soa(re.data(), im.data(), out.data(), rom, scratch);
+    numeric::irfft_soa(re.data(), im.data(), out.data(), rom);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_IrfftReal)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
+BENCHMARK(BM_IrfftReal)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_FixedPointFftPe(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const hw::FftPe pe(n);
-  std::vector<hw::Fix16> x(n);
+  std::vector<hw::CFix16> x(n);
   numeric::Rng rng(3);
-  for (auto& v : x) v = hw::Fix16::from_float(rng.uniform(-1, 1));
+  for (auto& v : x) v = {hw::Fix16::from_float(rng.uniform(-1, 1)), {}};
+  std::vector<hw::CFix16> spec(n);
   for (auto _ : state) {
-    auto spec = pe.forward_real(x);
+    spec = x;
+    pe.transform(spec);
     benchmark::DoNotOptimize(spec.data());
   }
 }
-BENCHMARK(BM_FixedPointFftPe)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_FixedPointFftPe)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 nn::ConvSpec conv_spec(std::size_t c) {
   nn::ConvSpec s;
@@ -438,12 +436,11 @@ void write_kernels_json(const std::string& path, std::size_t threads) {
     const core::BcmLayout& lay = layer.layout();
     const std::size_t hb = numeric::half_bins(8);
     const numeric::TwiddleRom& rom = numeric::twiddle_rom(8);
-    std::vector<numeric::cfloat> rscratch(numeric::rfft_scratch_size(8));
     numeric::AlignedVec<float> w_re(lay.total_blocks() * hb);
     numeric::AlignedVec<float> w_im(lay.total_blocks() * hb);
     for (std::size_t b = 0; b < lay.total_blocks(); ++b)
       numeric::rfft_soa(layer.effective_defining(b).data(), &w_re[b * hb],
-                        &w_im[b * hb], rom, rscratch);
+                        &w_im[b * hb], rom);
     const core::BlockSchedule sched =
         core::conv_row_schedule(lay, layer.skip_index());
     core::lanes::ConvGeometry g;

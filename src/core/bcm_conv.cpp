@@ -199,13 +199,10 @@ void BcmConv2d::maybe_refresh_weight_spectra() {
   const numeric::TwiddleRom& rom = *rom_;
   base::parallel_for(0, blocks, kSpectrumGrain,
                      [&](std::size_t b, std::size_t e) {
-    auto& scratch =
-        base::tls_scratch<numeric::cfloat>(0, numeric::rfft_scratch_size(bs));
     for (std::size_t blk = b; blk < e; ++blk) {
       if (skip_[blk] == 0) continue;
       const auto def = effective_defining(blk);
-      numeric::rfft_soa(def.data(), wre + blk * hb, wim + blk * hb, rom,
-                        scratch);
+      numeric::rfft_soa(def.data(), wre + blk * hb, wim + blk * hb, rom);
     }
   });
   RPBCM_OBS_COUNT("rpbcm.numeric.rfft.transforms", blocks - pruned_count());
@@ -501,13 +498,11 @@ nn::Tensor BcmConv2d::backward(const nn::Tensor& gy) {
   // (Eq. (1): dL/dA = dL/dW ⊙ B, dL/dB = dL/dW ⊙ A). Blocks are disjoint.
   base::parallel_for(0, blocks, kSpectrumGrain,
                      [&](std::size_t b0, std::size_t b1) {
-    auto& scratch =
-        base::tls_scratch<numeric::cfloat>(0, numeric::rfft_scratch_size(bs));
     auto& gw = base::tls_scratch<float>(0, bs);
     for (std::size_t blk = b0; blk < b1; ++blk) {
       if (skip_[blk] == 0) continue;
       numeric::irfft_soa(gw_re.data() + blk * hb, gw_im.data() + blk * hb,
-                         gw.data(), rom, scratch);
+                         gw.data(), rom);
       if (mode_ == BcmParameterization::kHadamard) {
         for (std::size_t kk = 0; kk < bs; ++kk) {
           a_.grad.at(blk, kk) += gw[kk] * b_.value.at(blk, kk);

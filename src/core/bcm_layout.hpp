@@ -21,8 +21,10 @@ struct BcmLayout {
   BcmLayout() = default;
   BcmLayout(std::size_t k, std::size_t cin, std::size_t cout, std::size_t bs)
       : kernel(k), in_channels(cin), out_channels(cout), block_size(bs) {
-    RPBCM_CHECK_MSG(numeric::is_pow2(bs),
-                    "BS must be a power of two for the FFT (Section II-B2)");
+    RPBCM_CHECK_MSG(numeric::is_fft_size(bs),
+                    "BS must be a power of two for the FFT (Section II-B2), "
+                    "from " << numeric::kMinFftSize << " to "
+                            << numeric::kMaxFftSize << "; got " << bs);
     RPBCM_CHECK_MSG(cin % bs == 0 && cout % bs == 0,
                     "channel counts must be divisible by BS: Cin="
                         << cin << " Cout=" << cout << " BS=" << bs);

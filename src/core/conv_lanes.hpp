@@ -115,15 +115,4 @@ const Kernels& kernels();
 Kernels portable_kernels();
 Kernels avx2_kernels();
 
-/// The float path's one-lane transforms for block sizes without a codelet:
-/// rfft_soa / irfft_soa over a signal strided by `xs` and bins strided by
-/// `os`/`is`. Out of line in the portable TU, so the AVX2 TU calls no std::
-/// code.
-struct FloatLaneTransforms {
-  static void rfft(const ConvGeometry& g, const float* x, std::size_t xs,
-                   float* re, float* im, std::size_t os);
-  static void irfft(const ConvGeometry& g, const float* re, const float* im,
-                    std::size_t is, float* x, std::size_t xs);
-};
-
 }  // namespace rpbcm::core::lanes

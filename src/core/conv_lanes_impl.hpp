@@ -1,17 +1,21 @@
 #pragma once
 
 // The one rFFT nest and the one eMAC+IFFT nest of the BCM datapath, over
-// L-pixel lanes and a datapath policy P: word type P::Word, lane type
-// P::Lane<L>, and per-lane transforms P::rfft/P::irfft for block sizes
-// without a codelet, which get the nests' trailing `ctx...` (the policy's
-// state). FloatPath is BcmConv2d's; hw/functional.cpp's Q7.8 policy runs
-// Fix16 words at L = 1 through the FFT PE (docs/simd.md, "One nest, two
-// number systems"). Included only by .cpp files (lint rule
-// impl-header-in-cpp-only): conv_lanes.cpp (portable), conv_lanes_avx2.cpp
-// (-mavx2 -ffp-contract=off) and hw/functional.cpp; everything has internal
-// linkage so each TU keeps the copy compiled with its own ISA flags. The
-// float nests call nothing from the standard library but memset/memcpy
-// builtins (and the inline pointer read TwiddleRom::table()).
+// L-pixel lanes and a datapath policy P: word type P::Word and lane type
+// P::Lane<L>. The nests run the transform codelets of
+// numeric/rfft_codelet.hpp at a compile-time block size N; N = 0 instead
+// hands each lane to the policy's own P::rfft/P::irfft with the nests'
+// trailing `ctx...` (the policy's state). FloatPath is BcmConv2d's and
+// runs the codelets at every block size; hw/functional.cpp's Q7.8 policy
+// runs Fix16 words at L = 1 and N = 0 through the FFT PE (docs/simd.md,
+// "One nest, two number systems"). Included only by .cpp files (lint rule
+// impl-header-in-cpp-only): conv_lanes.cpp (portable),
+// conv_lanes_avx2.cpp (-mavx2 -ffp-contract=off) and hw/functional.cpp;
+// everything has internal linkage so each TU keeps the copy compiled with
+// its own ISA flags. The float nests call nothing from the standard
+// library but memset/memcpy builtins (and the inline pointer read
+// TwiddleRom::table(); a block size outside the transform sizes goes to
+// the out-of-line numeric::reject_fft_size).
 //
 // Bitwise argument (docs/simd.md has it in full). Each lane of a tile is
 // one output pixel; it sees exactly the scalar nest's operations:
@@ -55,9 +59,9 @@ struct LaneType<8> {
 
 namespace cl = numeric::codelet;
 
-/// The float datapath: float words, L-pixel lanes, the codelets for
-/// N ∈ {4, 8, 16} and FloatLaneTransforms for other block sizes.
-struct FloatPath : FloatLaneTransforms {
+/// The float datapath: float words, L-pixel lanes, the codelets at every
+/// block size.
+struct FloatPath {
   using Word = float;
   template <std::size_t L>
   using Lane = typename LaneType<L>::V;
@@ -78,7 +82,7 @@ inline void keep_lanes(V& v, std::size_t lo, std::size_t hi) {
 /// rFFT of units [u0, u1); a unit is one (sample, row, in-block). Lane l
 /// of a tile is input pixel iw + l; rows narrower than a tile run their
 /// tail through a zero-padded copy and store only the real lanes. N = 0
-/// runs P::rfft per lane.
+/// runs P::rfft per lane (the Q7.8 policy).
 template <std::size_t L, std::size_t N, class P, class... Ctx>
 void rfft_units_l(const ConvGeometry& g, const float* x,
                   typename P::Word* re, typename P::Word* im, std::size_t u0,
@@ -87,7 +91,7 @@ void rfft_units_l(const ConvGeometry& g, const float* x,
   using W = typename P::Word;
   const std::size_t bs = g.bs, hb = g.hb, h = g.h, w = g.w, nbi = g.nbi;
   const std::size_t cs = h * w;  // NCHW channel stride
-  // Codelet twiddles; the N = 0 paths read no ROM (the Q7.8 one has none).
+  // Codelet twiddles; the Q7.8 path (N = 0) has no float ROM.
   const numeric::cfloat* tw = N != 0 ? g.rom->table() : nullptr;
   for (std::size_t u = u0; u < u1; ++u) {
     const std::size_t ni = u / (h * nbi), ih = u / nbi % h, bi = u % nbi;
@@ -120,7 +124,7 @@ void rfft_units_l(const ConvGeometry& g, const float* x,
 
 /// eMAC + IFFT of tiles [t0, t1); a tile is R output rows × C output
 /// columns, one vector of L = R·C lanes (lane r·C + c is pixel
-/// (oh0 + r, ow0 + c)). N = 0 runs P::irfft per lane.
+/// (oh0 + r, ow0 + c)). N = 0 runs P::irfft per lane (the Q7.8 policy).
 template <std::size_t R, std::size_t C, std::size_t N, class P,
           class... Ctx>
 std::size_t emac_irfft_tiles_l(const ConvGeometry& g,
@@ -132,14 +136,14 @@ std::size_t emac_irfft_tiles_l(const ConvGeometry& g,
   using VC = typename P::template Lane<C>;  // one tile row
   using W = typename P::Word;
   using std::ptrdiff_t;
-  // Compile-time bin count for the codelet sizes, so the bin loop unrolls.
+  // Compile-time bin count at a codelet size, so the bin loop unrolls.
   const std::size_t hb = N != 0 ? N / 2 + 1 : g.hb;
   const std::size_t bs = g.bs, nbi = g.nbi, nbo = g.nbo, k = g.k;
   const std::size_t s = g.stride, h = g.h, w = g.w, ho = g.ho, wo = g.wo;
   const std::size_t tile_cols = (wo + C - 1) / C;
   const std::size_t tile_rows = (ho + R - 1) / R;
   const std::size_t plane = ho * wo;  // NCHW channel stride of y
-  // Codelet twiddles; the N = 0 paths read no ROM (the Q7.8 one has none).
+  // Codelet twiddles; the Q7.8 path (N = 0) has no float ROM.
   const numeric::cfloat* tw = N != 0 ? g.rom->table() : nullptr;
   W* acc_re = scratch;            // [nbo][hb][L]
   W* acc_im = acc_re + nbo * hb * L;
@@ -283,32 +287,22 @@ std::size_t emac_irfft_tiles_l(const ConvGeometry& g,
   return bins;
 }
 
-/// Picks the float instantiation for the block size (codelet or generic).
+/// The float instantiation for the block size.
 template <std::size_t L>
 void rfft_units_bs(const ConvGeometry& g, const float* x, float* re,
                    float* im, std::size_t u0, std::size_t u1) {
-  using P = FloatPath;
-  switch (g.bs) {
-    case 4: return rfft_units_l<L, 4, P>(g, x, re, im, u0, u1);
-    case 8: return rfft_units_l<L, 8, P>(g, x, re, im, u0, u1);
-    case 16: return rfft_units_l<L, 16, P>(g, x, re, im, u0, u1);
-    default: return rfft_units_l<L, 0, P>(g, x, re, im, u0, u1);
-  }
+  cl::with_size(g.bs, [&](auto n) {
+    rfft_units_l<L, n, FloatPath>(g, x, re, im, u0, u1);
+  });
 }
 
 template <std::size_t R, std::size_t C>
 std::size_t emac_irfft_tiles_bs(const ConvGeometry& g, const EmacInputs& in,
                                 float* y, std::size_t t0, std::size_t t1,
                                 float* scratch) {
-  using P = FloatPath;
-  switch (g.bs) {
-    case 4: return emac_irfft_tiles_l<R, C, 4, P>(g, in, y, t0, t1, scratch);
-    case 8: return emac_irfft_tiles_l<R, C, 8, P>(g, in, y, t0, t1, scratch);
-    case 16:
-      return emac_irfft_tiles_l<R, C, 16, P>(g, in, y, t0, t1, scratch);
-    default:
-      return emac_irfft_tiles_l<R, C, 0, P>(g, in, y, t0, t1, scratch);
-  }
+  return cl::with_size(g.bs, [&](auto n) {
+    return emac_irfft_tiles_l<R, C, n, FloatPath>(g, in, y, t0, t1, scratch);
+  });
 }
 
 void rfft_units(const ConvGeometry& g, const float* x, float* re, float* im,

@@ -69,12 +69,10 @@ std::vector<FrequencyQuantStats> quantize_model_frequency_weights(
     // spectrum row to a defining vector.
     const std::size_t bs = conv->layout().block_size;
     const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
-    std::vector<numeric::cfloat> scratch(numeric::rfft_scratch_size(bs));
     std::vector<float> w(bs);
     for (std::size_t b = 0; b < fw.layout.total_blocks(); ++b) {
       if (!fw.skip_index[b]) continue;
-      numeric::irfft_soa(fw.block_re(b), fw.block_im(b), w.data(), rom,
-                         scratch);
+      numeric::irfft_soa(fw.block_re(b), fw.block_im(b), w.data(), rom);
       conv->load_defining(b, w);
     }
   }

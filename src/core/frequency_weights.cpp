@@ -32,11 +32,10 @@ FrequencyLayerWeights export_frequency_weights(const BcmConv2d& layer) {
   out.spec_re.assign(blocks * out.half_bins(), 0.0F);
   out.spec_im.assign(blocks * out.half_bins(), 0.0F);
   const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
-  std::vector<numeric::cfloat> scratch(numeric::rfft_scratch_size(bs));
   for (std::size_t b = 0; b < blocks; ++b) {
     if (layer.is_pruned(b)) continue;
     numeric::rfft_soa(layer.effective_defining(b).data(), out.block_re(b),
-                      out.block_im(b), rom, scratch);
+                      out.block_im(b), rom);
   }
   return out;
 }

@@ -19,17 +19,13 @@ class FftPe {
  public:
   explicit FftPe(std::size_t bs);
 
-  /// In-place FFT of one BS-word block: bit reversal, then the radix-2
-  /// butterflies. The inverse runs the same butterflies through the
+  /// In-place FFT of one BS-word block, BS one of the transform sizes
+  /// (numeric::is_fft_size; CheckError otherwise): the Fix16 instantiation
+  /// of the repo's one radix-2 FFT (numeric/rfft_codelet.hpp) over the
+  /// quantized ROM. The inverse runs the same butterflies through the
   /// conjugate trick and the log2(BS)-shift divider:
   /// IFFT(X) = conj(FFT(conj(X))) >> log2(BS).
   void transform(std::span<CFix16> data, bool inverse = false) const;
-
-  /// Forward FFT of a real fixed-point block.
-  std::vector<CFix16> forward_real(std::span<const Fix16> x) const;
-
-  /// Real part of the inverse FFT (the recovered output activations).
-  std::vector<Fix16> inverse_real(std::span<const CFix16> spec) const;
 
   /// Pipelined timing: butterflies execute one per cycle per PE; a size-n
   /// transform occupies (n/2) * log2(n) cycles.

@@ -4,10 +4,12 @@
 #include <map>
 #include <memory>
 #include <numbers>
+#include <sstream>
 
 #include "base/check.hpp"
 #include "base/mutex.hpp"
 #include "base/thread_annotations.hpp"
+#include "numeric/rfft_codelet.hpp"
 #include "obs/macros.hpp"
 
 namespace rpbcm::numeric {
@@ -37,6 +39,13 @@ std::size_t log2_exact(std::size_t n) {
   return l;
 }
 
+void reject_fft_size(std::size_t n) {
+  std::ostringstream os;
+  os << "transform size " << n << " is not a power of two in ["
+     << kMinFftSize << ", " << kMaxFftSize << "]";
+  detail::check_failed("is_fft_size(n)", __FILE__, __LINE__, os.str());
+}
+
 TwiddleRom::TwiddleRom(std::size_t n) : n_(n) {
   RPBCM_CHECK_MSG(is_pow2(n), "FFT size must be a power of two, got " << n);
   w_.resize(n / 2);
@@ -45,50 +54,6 @@ TwiddleRom::TwiddleRom(std::size_t n) : n_(n) {
                        static_cast<double>(n);
     w_[k] = cfloat(static_cast<float>(std::cos(ang)),
                    static_cast<float>(std::sin(ang)));
-  }
-  if (n == 1) w_.assign(1, cfloat(1.0F, 0.0F));
-}
-
-cfloat TwiddleRom::forward(std::size_t k) const {
-  RPBCM_CHECK(k < n_ / 2 || (n_ == 1 && k == 0));
-  return w_[k];
-}
-
-cfloat TwiddleRom::inverse(std::size_t k) const {
-  return std::conj(forward(k));
-}
-
-void fft_inplace(std::span<cfloat> data, const TwiddleRom& rom, bool inverse) {
-  const std::size_t n = data.size();
-  RPBCM_CHECK_MSG(n != 0 && rom.size() % n == 0,
-                  "twiddle ROM size " << rom.size()
-                                      << " is not a multiple of FFT size "
-                                      << n);
-  if (n <= 1) return;
-  bit_reverse_permute(data);
-  // k * stride < rom.size() / 2 below, so the size check above covers every
-  // twiddle read.
-  const cfloat* table = rom.table();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    // Twiddle index step at this stage. W_len^k lives at k * rom.size()/len
-    // in a ROM of any power-of-two multiple size, so one ROM serves n and
-    // all its divisors (the packed rfft runs its n/2-point inner FFT here).
-    const std::size_t stride = rom.size() / len;
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const cfloat w = inverse ? std::conj(table[k * stride])
-                                 : table[k * stride];
-        const cfloat u = data[i + k];
-        const cfloat v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-      }
-    }
-  }
-  if (inverse) {
-    // Hardware divides by BS with a log2(BS) shift; here the float analogue.
-    const float inv_n = 1.0F / static_cast<float>(n);
-    for (auto& x : data) x *= inv_n;
   }
 }
 
@@ -114,7 +79,20 @@ const TwiddleRom& twiddle_rom(std::size_t n) {
 }
 
 void fft_inplace(std::span<cfloat> data, bool inverse) {
-  fft_inplace(data, twiddle_rom(data.size()), inverse);
+  codelet::with_size(data.size(), [&](auto n) {
+    // Interleaved (re, im) floats, the std::complex array layout.
+    auto* z = reinterpret_cast<float*>(data.data());
+    const auto* w = reinterpret_cast<const float*>(twiddle_rom(n).table());
+    if (inverse) {
+      codelet::fft<n, true>(z, z + 1, 2, w);
+      // Hardware divides by BS with a log2(BS) shift; here the float
+      // analogue.
+      constexpr float inv_n = 1.0F / static_cast<float>(n);
+      for (auto& x : data) x *= inv_n;
+    } else {
+      codelet::fft<n, false>(z, z + 1, 2, w);
+    }
+  });
 }
 
 std::vector<cfloat> fft_real(std::span<const float> x) {

@@ -24,30 +24,21 @@ namespace rpbcm::numeric {
 /// Number of non-redundant bins of a real length-n signal: n/2+1.
 constexpr std::size_t half_bins(std::size_t n) { return n / 2 + 1; }
 
-/// Complex scratch words rfft_soa/irfft_soa need for size n: n/2 (min 1).
-constexpr std::size_t rfft_scratch_size(std::size_t n) {
-  return n < 2 ? 1 : n / 2;
-}
-
 /// Packed real FFT, SoA out: transforms the n = rom.size() real samples at
-/// `x` into the n/2+1 half-spectrum bins at (re, im). `scratch` provides
-/// at least rfft_scratch_size(n) complex words. im[0] and im[n/2] are
-/// exactly zero (DC and Nyquist bins of a real signal are real).
-/// n ∈ {4, 8, 16} runs a straight-line codelet that leaves `scratch`
-/// untouched and is bitwise equal to the generic path on finite inputs;
-/// on NaN/Inf inputs only some non-finite output is promised
-/// (docs/simd.md).
-void rfft_soa(const float* x, float* re, float* im, const TwiddleRom& rom,
-              std::span<cfloat> scratch);
+/// `x` into the n/2+1 half-spectrum bins at (re, im), for n one of the
+/// transform sizes (is_fft_size; CheckError otherwise). im[0] and im[n/2]
+/// are exactly zero (DC and Nyquist bins of a real signal are real). Runs
+/// the size-n codelet (numeric/rfft_codelet.hpp); on NaN/Inf inputs only
+/// some non-finite output is promised (docs/simd.md).
+void rfft_soa(const float* x, float* re, float* im, const TwiddleRom& rom);
 
 /// Hermitian inverse of rfft_soa: reconstructs the n = rom.size() real
 /// samples at `x` from the n/2+1 half-spectrum bins at (re, im). Conjugate
 /// symmetry of the implied full spectrum is assumed, so a Hermitian
 /// accumulation (any product/sum of real-signal spectra) inverts exactly.
-/// im[0] and im[n/2] are not read. n ∈ {4, 8, 16} runs a codelet, as
-/// for rfft_soa.
+/// im[0] and im[n/2] are not read.
 void irfft_soa(const float* re, const float* im, float* x,
-               const TwiddleRom& rom, std::span<cfloat> scratch);
+               const TwiddleRom& rom);
 
 /// Real FFT returning only the n/2+1 non-redundant bins; the remaining
 /// bins are the conjugate mirror (convenience AoS wrapper of rfft_soa).

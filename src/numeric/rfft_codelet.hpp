@@ -7,27 +7,37 @@
 #include <type_traits>
 #include <utility>
 
+#include "numeric/fft.hpp"
+
 namespace rpbcm::numeric::codelet {
 
-// Straight-line packed real-FFT codelets for the block sizes the BCM layers
-// run (the CPU form of the accelerator's fixed-size FFT PE), written once
-// over a lane type V: `float` (one signal — rfft_soa/irfft_soa) or a GCC
-// vector of floats (one signal per lane — the BcmConv2d pixel-lane path,
-// src/core/conv_lanes_impl.hpp). Lane j of a vector result is computed by
-// exactly the float operations the `float` instantiation runs, and those
-// are the generic path's (src/numeric/rfft.cpp): the same complex
-// multiplies as (ac - bd, ad + bc), including those by trivial twiddles and
-// by the (0, -0.5)/(0, 1) factors, the same 0.5F scalings and the same
-// final 1/m scale. So finite inputs give bitwise-identical results, ±0
-// included; std::complex's __mulsc3 NaN/Inf recovery is not reproduced
-// (docs/simd.md states that contract). The loops are unrolled at compile
-// time, the bit-reversal permutation is folded into the indices the m-point
-// spectrum is written at, and that spectrum lives in registers.
+// The repo's one radix-2 FFT (the CPU form of the accelerator's fixed-size
+// FFT PE), written once over a word type T and a lane type V, and compiled
+// once per transform size: every power of two from kMinFftSize to
+// kMaxFftSize (numeric/fft.hpp), reached from a runtime size through
+// with_size. Its instantiations:
+//   - float words, V = float: rfft_soa/irfft_soa (the packed real
+//     transforms) and fft_inplace (the complex one);
+//   - float words, V = a GCC vector of floats, one signal per lane: the
+//     BcmConv2d pixel-lane nests (src/core/conv_lanes_impl.hpp);
+//   - Fix16 words: the Q7.8 FFT PE, hw::FftPe::transform.
+// Lane j of a vector result is computed by exactly the float operations
+// the `float` instantiation runs, and those are a radix-2 loop's over
+// std::complex<float> for finite operands: complex multiplies as
+// (ac - bd, ad + bc), including those by trivial twiddles and by the
+// (0, -0.5)/(0, 1) factors, 0.5F scalings and a final 1/m scale, so the
+// golden vectors hold bit for bit, ±0 included; std::complex's __mulsc3
+// NaN/Inf recovery is not reproduced (docs/simd.md states that contract).
+// On Fix16 words the multiplies are CFix16's, one rounding per product,
+// then saturating subtract/add. The loops are unrolled at compile time,
+// the bit-reversal permutation is folded into the load (or store)
+// indices, and the spectrum lives in registers.
 //
 // Everything here has internal linkage on purpose: the header is compiled
 // into TUs built with different ISA flags (the portable and the AVX2 lane
 // kernels), and each must keep its own copy rather than share one the
-// linker picked.
+// linker picked. Only .cpp files and *_impl.hpp nests include it (lint
+// rule impl-header-in-cpp-only).
 namespace {
 
 /// Calls f(std::integral_constant<std::size_t, I>{}) for I = 0 .. Count-1:
@@ -39,7 +49,21 @@ inline void unroll(F&& f) {
   }(std::make_index_sequence<Count>{});
 }
 
-/// i with its log2(m) low bits reversed: fft_inplace's load permutation.
+/// Calls f(std::integral_constant<std::size_t, N>{}) with N == n, the one
+/// map from a runtime transform size to a compiled one. Any n other than
+/// kMinFftSize, 2·kMinFftSize, ..., kMaxFftSize is a CheckError (thrown out
+/// of line, so the ISA-specific TUs emit no std:: code for it).
+template <std::size_t N = kMinFftSize, class F>
+inline decltype(auto) with_size(std::size_t n, F&& f) {
+  if constexpr (N < kMaxFftSize) {
+    if (n != N) return with_size<2 * N>(n, std::forward<F>(f));
+  } else {
+    if (n != N) reject_fft_size(n);
+  }
+  return f(std::integral_constant<std::size_t, N>{});
+}
+
+/// i with its log2(m) low bits reversed: the radix-2 load permutation.
 constexpr std::size_t bit_reverse(std::size_t i, std::size_t m) {
   std::size_t r = 0;
   for (std::size_t b = 1; b < m; b <<= 1, i >>= 1) r = (r << 1) | (i & 1);
@@ -47,9 +71,9 @@ constexpr std::size_t bit_reverse(std::size_t i, std::size_t m) {
 }
 
 /// Unaligned load/store of one lane-type value from/to words of type T
-/// (float here; also Fix16 in the Q7.8 lane nest). Lane-type values cross
-/// function boundaries by reference only: a 32-byte vector passed by value
-/// has a different ABI with and without AVX.
+/// (float or Fix16). Lane-type values cross function boundaries by
+/// reference only: a 32-byte vector passed by value has a different ABI
+/// with and without AVX.
 template <class V, class T>
 inline void load(V& v, const T* p) {
   std::memcpy(&v, p, sizeof v);
@@ -68,20 +92,24 @@ inline void cmul(const A& ar, const A& ai, const B& br, const B& bi, R& rr,
   ri = ar * bi + ai * br;
 }
 
-/// fft_inplace's radix-2 stages over an m-point spectrum already loaded in
-/// bit-reversed order, with twiddles off the size-2m ROM table `w` read as
-/// interleaved (re, im) floats.
-template <std::size_t M, bool Inverse, class V>
-inline void fft_stages(V* zr, V* zi, const float* w) {
+/// The radix-2 stages of an M-point FFT over a spectrum already loaded in
+/// bit-reversed order. Twiddles come off a size-R ROM `w` — its R/2 words
+/// W_R^k read as interleaved (re, im) words of type T — at stride R/len in
+/// the stage of butterfly span len, so one ROM serves every M dividing R
+/// (the packed real FFT runs its N/2-point FFT off the size-N ROM).
+/// Inverse conjugates the twiddles.
+template <std::size_t M, std::size_t R, bool Inverse, class V, class T>
+inline void fft_stages(V* zr, V* zi, const T* w) {
+  static_assert(R % M == 0, "the ROM must serve the transform size");
   unroll<std::countr_zero(M)>([&](auto s) {  // log2(M) stages
     constexpr std::size_t len = std::size_t{2} << s;
     constexpr std::size_t half = len / 2;
     unroll<M / 2>([&](auto j) {
       constexpr std::size_t top = j / half * len + j % half;
       constexpr std::size_t bot = top + half;
-      constexpr std::size_t t = j % half * (2 * M / len);
-      const float wr = w[2 * t];
-      const float wi = Inverse ? -w[2 * t + 1] : w[2 * t + 1];
+      constexpr std::size_t t = j % half * (R / len);
+      const T wr = w[2 * t];
+      const T wi = Inverse ? -w[2 * t + 1] : w[2 * t + 1];
       V vr, vi;
       cmul(zr[bot], zi[bot], wr, wi, vr, vi);
       const V ur = zr[top], ui = zi[top];
@@ -90,6 +118,25 @@ inline void fft_stages(V* zr, V* zi, const float* w) {
       zr[bot] = ur - vr;
       zi[bot] = ui - vi;
     });
+  });
+}
+
+/// Complex N-point FFT in place, unscaled: word c is (re[c·s], im[c·s])
+/// (interleaved complex words have re = z, im = z + 1, s = 2), and `w` is
+/// the size-N ROM as interleaved (re, im) words. Inverse conjugates the
+/// twiddles; the 1/N scale is the caller's.
+template <std::size_t N, bool Inverse, class T>
+inline void fft(T* re, T* im, std::size_t s, const T* w) {
+  T zr[N], zi[N];
+  unroll<N>([&](auto j) {
+    constexpr std::size_t r = bit_reverse(j, N);
+    load(zr[j], re + r * s);
+    load(zi[j], im + r * s);
+  });
+  fft_stages<N, N, Inverse>(zr, zi, w);
+  unroll<N>([&](auto j) {
+    store(re + j * s, zr[j]);
+    store(im + j * s, zi[j]);
   });
 }
 
@@ -108,7 +155,7 @@ inline void rfft(const float* x, std::size_t xs, float* re, float* im,
     load(zr[j], x + 2 * r * xs);
     load(zi[j], x + (2 * r + 1) * xs);
   });
-  fft_stages<m, false>(zr, zi, w);
+  fft_stages<m, N, false>(zr, zi, w);
   store(re, zr[0] + zi[0]);
   store(im, V{});
   store(re + m * os, zr[0] - zi[0]);
@@ -159,7 +206,7 @@ inline void irfft(const float* re, const float* im, std::size_t is, float* x,
     zr[r] = er + jr;
     zi[r] = ei + ji;
   });
-  fft_stages<m, true>(zr, zi, w);
+  fft_stages<m, N, true>(zr, zi, w);
   constexpr float inv_m = 1.0F / static_cast<float>(m);
   unroll<m>([&](auto j) {
     store(x + 2 * j * xs, zr[j] * inv_m);

@@ -8,7 +8,7 @@
 // per-pixel backward. The sweep covers row widths that fill whole tiles,
 // leave tails and fall back to one lane, both strides and pads (edge lanes
 // whose tap leaves the map; k = 1 with pad 1 crops gy in the backward),
-// block sizes with and without a codelet, plain and hadaBCM weights, and
+// every block size the layers accept, plain and hadaBCM weights, and
 // pruning down to fully pruned schedule rows. Inputs and gy carry a ±0 and
 // denormal share so a reordered or extra operation shows in the sign of a
 // zero.
@@ -72,15 +72,13 @@ Oracle per_pixel_oracle(const BcmConv2d& layer, const nn::Tensor& x) {
   const std::size_t bs = lay.block_size, hb = numeric::half_bins(bs);
   const std::size_t nbi = lay.in_blocks(), nbo = lay.out_blocks();
   const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
-  std::vector<numeric::cfloat> scratch(numeric::rfft_scratch_size(bs));
 
   Oracle o;
   o.w_re.resize(lay.total_blocks() * hb);
   o.w_im.resize(o.w_re.size());
   for (std::size_t b = 0; b < lay.total_blocks(); ++b) {
     const std::vector<float> def = layer.effective_defining(b);
-    numeric::rfft_soa(def.data(), &o.w_re[b * hb], &o.w_im[b * hb], rom,
-                      scratch);
+    numeric::rfft_soa(def.data(), &o.w_re[b * hb], &o.w_im[b * hb], rom);
   }
 
   o.x_re.resize(n * h * w * nbi * hb);
@@ -93,8 +91,7 @@ Oracle per_pixel_oracle(const BcmConv2d& layer, const nn::Tensor& x) {
           for (std::size_t c = 0; c < bs; ++c)
             sig[c] = x.at(ni, bi * bs + c, ih, iw);
           const std::size_t at = (((ni * h + ih) * w + iw) * nbi + bi) * hb;
-          numeric::rfft_soa(sig.data(), &o.x_re[at], &o.x_im[at], rom,
-                            scratch);
+          numeric::rfft_soa(sig.data(), &o.x_re[at], &o.x_im[at], rom);
         }
 
   o.y.resize(n * cs.out_channels * ho * wo);
@@ -135,7 +132,7 @@ Oracle per_pixel_oracle(const BcmConv2d& layer, const nn::Tensor& x) {
         }
         for (std::size_t bo = 0; bo < nbo; ++bo) {
           numeric::irfft_soa(&acc_re[bo * hb], &acc_im[bo * hb], sig.data(),
-                             rom, scratch);
+                             rom);
           for (std::size_t c = 0; c < bs; ++c)
             o.y[((ni * cs.out_channels + bo * bs + c) * ho + oh) * wo + ow] =
                 sig[c];
@@ -164,7 +161,6 @@ GradOracle per_pixel_backward(const BcmConv2d& layer, const Oracle& o,
   const std::size_t bs = lay.block_size, hb = numeric::half_bins(bs);
   const std::size_t nbi = lay.in_blocks(), nbo = lay.out_blocks();
   const numeric::TwiddleRom& rom = numeric::twiddle_rom(bs);
-  std::vector<numeric::cfloat> scratch(numeric::rfft_scratch_size(bs));
   std::vector<float> sig(bs);
 
   std::vector<float> g_re(n * ho * wo * nbo * hb), g_im(g_re.size());
@@ -175,7 +171,7 @@ GradOracle per_pixel_backward(const BcmConv2d& layer, const Oracle& o,
           for (std::size_t c = 0; c < bs; ++c)
             sig[c] = gy.at(ni, bo * bs + c, oh, ow);
           const std::size_t at = (((ni * ho + oh) * wo + ow) * nbo + bo) * hb;
-          numeric::rfft_soa(sig.data(), &g_re[at], &g_im[at], rom, scratch);
+          numeric::rfft_soa(sig.data(), &g_re[at], &g_im[at], rom);
         }
 
   std::vector<float> gx_re(o.x_re.size(), 0.0F), gx_im(gx_re.size(), 0.0F);
@@ -226,7 +222,7 @@ GradOracle per_pixel_backward(const BcmConv2d& layer, const Oracle& o,
         for (std::size_t bi = 0; bi < nbi; ++bi) {
           const std::size_t xa =
               (((ni * in_h + ih) * in_w + iw) * nbi + bi) * hb;
-          numeric::irfft_soa(&gx_re[xa], &gx_im[xa], sig.data(), rom, scratch);
+          numeric::irfft_soa(&gx_re[xa], &gx_im[xa], sig.data(), rom);
           for (std::size_t c = 0; c < bs; ++c)
             r.gx[((ni * cs.in_channels + bi * bs + c) * in_h + ih) * in_w +
                  iw] = sig[c];
@@ -234,8 +230,8 @@ GradOracle per_pixel_backward(const BcmConv2d& layer, const Oracle& o,
   r.gw.assign(lay.total_blocks() * bs, 0.0F);
   for (std::size_t b = 0; b < lay.total_blocks(); ++b)
     if (!layer.is_pruned(b))
-      numeric::irfft_soa(&gw_re[b * hb], &gw_im[b * hb], &r.gw[b * bs], rom,
-                         scratch);
+      numeric::irfft_soa(&gw_re[b * hb], &gw_im[b * hb], &r.gw[b * bs],
+                         rom);
   return r;
 }
 
@@ -287,11 +283,11 @@ std::size_t sweep(const LaneCase& c, Check&& check) {
   return geometries;
 }
 
-// BS {2, 4, 8, 16, 32} × plain/hada × α {0, 0.5, 0.9}, named e.g.
+// BS {2, 4, 8, 16, 32, 64} × plain/hada × α {0, 0.5, 0.9}, named e.g.
 // `bs8_hada_a50`.
 std::vector<LaneCase> lane_cases() {
   std::vector<LaneCase> cases;
-  for (const std::size_t bs : {2, 4, 8, 16, 32})
+  for (const std::size_t bs : {2, 4, 8, 16, 32, 64})
     for (const bool hada : {false, true})
       for (const int alpha : {0, 50, 90}) cases.push_back({bs, hada, alpha});
   return cases;

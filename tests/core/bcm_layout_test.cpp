@@ -34,6 +34,9 @@ TEST(BcmLayoutTest, InvalidConfigurationsRejected) {
   EXPECT_THROW(BcmLayout(3, 12, 16, 8), rpbcm::CheckError);  // cin % bs
   EXPECT_THROW(BcmLayout(3, 16, 12, 8), rpbcm::CheckError);  // cout % bs
   EXPECT_THROW(BcmLayout(3, 12, 12, 6), rpbcm::CheckError);  // bs not 2^n
+  // bs outside the transform sizes 2..64
+  EXPECT_THROW(BcmLayout(3, 16, 16, 1), rpbcm::CheckError);
+  EXPECT_THROW(BcmLayout(3, 128, 128, 128), rpbcm::CheckError);
 }
 
 TEST(BcmLayoutTest, OutOfRangeBlockIdRejected) {

@@ -35,9 +35,9 @@ TEST(EmacPeTest, ExpandHalfIsConjugateSymmetric) {
 TEST(EmacPeTest, ExpandHalfRebuildsFftMirror) {
   numeric::Rng rng(3);
   const FftPe pe(8);
-  std::vector<Fix16> x(8);
-  for (auto& v : x) v = Fix16::from_float(rng.uniform(-1, 1));
-  const auto full = pe.forward_real(x);
+  std::vector<CFix16> full(8);
+  for (auto& v : full) v = {Fix16::from_float(rng.uniform(-1, 1)), Fix16{}};
+  pe.transform(full);
   std::vector<CFix16> rebuilt(full.begin(), full.begin() + 5);
   rebuilt.resize(8, CFix16::from_floats(9.0F, 9.0F));
   EmacPe::expand_half(rebuilt);

@@ -163,11 +163,12 @@ Reference reference_fixed_point(const tensor::Tensor& x,
     for (std::size_t ih = 0; ih < h; ++ih)
       for (std::size_t iw = 0; iw < w; ++iw)
         for (std::size_t bi = 0; bi < nbi; ++bi) {
-          std::vector<Fix16> block(bs);
+          std::vector<CFix16> full(bs);
           for (std::size_t c = 0; c < bs; ++c)
-            block[c] = Fix16::from_float(
-                xd[((ni * spec.in_channels + bi * bs + c) * h + ih) * w + iw]);
-          const auto full = fft.forward_real(block);
+            full[c] = {Fix16::from_float(xd[((ni * spec.in_channels + bi * bs +
+                                              c) * h + ih) * w + iw]),
+                       Fix16{}};
+          fft.transform(full);
           xs[((ni * h + ih) * w + iw) * nbi + bi].assign(
               full.begin(), full.begin() + static_cast<long>(half));
         }
@@ -207,10 +208,10 @@ Reference reference_fixed_point(const tensor::Tensor& x,
           for (std::size_t k = 0; k < half; ++k) full[k] = acc[bo][k];
           for (std::size_t k = half; k < bs; ++k)
             full[k] = acc[bo][bs - k].conj();
-          const auto out = fft.inverse_real(full);
+          fft.transform(full, /*inverse=*/true);
           for (std::size_t c = 0; c < bs; ++c)
             yd[((ni * spec.out_channels + bo * bs + c) * ho + oh) * wo + ow] =
-                out[c].to_float();
+                full[c].re.to_float();
         }
       }
   return r;

@@ -57,7 +57,10 @@
 //                    with internal linkage so that each including .cpp
 //                    keeps its own copy, compiled with that TU's ISA flags
 //                    (src/core/conv_lanes_impl.hpp); included from a header
-//                    a nest would be copied into every TU that includes it
+//                    a nest would be copied into every TU that includes it.
+//                    The transform codelets (numeric/rfft_codelet.hpp) have
+//                    internal linkage for the same reason: only .cpp files
+//                    and the *_impl.hpp nests may include them
 //
 // A finding may be waived on its line with `// rpbcm-lint: allow(<rule>)`.
 // Waivers are themselves checked: a waiver that suppresses nothing is
@@ -834,6 +837,8 @@ void check_no_vector_bool(const fs::path& file, const std::string& code) {
 void check_impl_header_includes(const fs::path& file, const std::string& raw,
                                 const std::string& code) {
   static constexpr std::string_view kImpl = "_impl.hpp";
+  static constexpr std::string_view kCodelets = "numeric/rfft_codelet.hpp";
+  const bool nest = file.filename().string().ends_with(kImpl);
   std::size_t pos = 0;
   while ((pos = code.find('#', pos)) != std::string::npos) {
     const std::size_t at = pos++;
@@ -853,14 +858,16 @@ void check_impl_header_includes(const fs::path& file, const std::string& raw,
                                               i + 1);
     if (end == std::string::npos) continue;
     const std::string_view name(raw.data() + i + 1, end - i - 1);
-    if (!name.ends_with(kImpl)) continue;
+    // A nest includes the codelets it instantiates.
+    if (!name.ends_with(kImpl) && (name != kCodelets || nest)) continue;
     const std::size_t line = line_of(code, at);
     if (line_has_waiver(line, "impl-header-in-cpp-only")) continue;
     report(file, line, "impl-header-in-cpp-only",
-           "header includes the loop-nest header \"" + std::string(name) +
-               "\": *_impl.hpp nests have internal linkage so each .cpp "
-               "keeps its own ISA-specific copy — include it from a .cpp "
-               "only");
+           "header includes the internal-linkage header \"" +
+               std::string(name) +
+               "\": loop nests (*_impl.hpp) and the transform codelets "
+               "keep one ISA-specific copy per TU — include it from a .cpp "
+               "only (the codelets also from a *_impl.hpp nest)");
   }
 }
 
